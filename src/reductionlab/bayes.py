@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError, ZeroProbabilityError
 from .linalg import (
+    TOL_EIG,
     TOL_OP,
     TOL_PROB,
     as_matrix,
@@ -25,7 +26,13 @@ from .linalg import (
     tensor,
 )
 from .measurement import MeasurementModel, verify_measures
-from .quantum import DensityOperator, Observable, OutcomeDistribution, operator_deviation
+from .quantum import (
+    DensityOperator,
+    Distribution,
+    Observable,
+    OutcomeDistribution,
+    operator_deviation,
+)
 
 
 class EntangledScenario:
@@ -80,21 +87,8 @@ class LocalApparatusSpec:
         self.model = model
 
 
-class JointDistribution:
+class JointDistribution(Distribution):
     """Map from (a, x) outcome pairs to probability."""
-
-    def __init__(self, entries: dict):
-        total = 0.0
-        clean: dict[tuple[float, float], float] = {}
-        for (a, x), p in entries.items():
-            p = float(p)
-            if p < -TOL_PROB or p > 1.0 + TOL_PROB:
-                raise ValidationError(f"probability {p} for outcome {(a, x)} out of range")
-            clean[(float(a), float(x))] = p
-            total += p
-        if abs(total - 1.0) > TOL_PROB:
-            raise ValidationError(f"joint probabilities sum to {total}, expected 1")
-        self.entries = clean
 
     def marginal_a(self) -> OutcomeDistribution:
         out: dict[float, float] = {}
@@ -108,17 +102,8 @@ class JointDistribution:
             out[x] = out.get(x, 0.0) + p
         return OutcomeDistribution(out)
 
-    def max_deviation(self, other: "JointDistribution") -> float:
-        keys = sorted(self.entries)
-        if keys != sorted(other.entries):
-            raise DimensionMismatchError("joint distributions have different outcome sets")
-        return max(abs(self.entries[k] - other.entries[k]) for k in keys)
-
     def total_variation(self, other: "JointDistribution") -> float:
-        keys = sorted(self.entries)
-        if keys != sorted(other.entries):
-            raise DimensionMismatchError("joint distributions have different outcome sets")
-        return 0.5 * sum(abs(self.entries[k] - other.entries[k]) for k in keys)
+        return 0.5 * sum(self._differences(other))
 
 
 def _heisenberg(proj: np.ndarray, h, time: float) -> np.ndarray:
@@ -194,13 +179,18 @@ def posterior_state(s: EntangledScenario, a: float) -> DensityOperator:
 
 def bayes_condition(j: JointDistribution, a: float) -> OutcomeDistribution:
     """Classical conditioning: P(x | a) = j[(a, x)] / sum_x j[(a, x)]."""
-    row = {x: p for (aa, x), p in j.entries.items() if abs(aa - float(a)) <= 1e-8}
+    row = {x: p for (aa, x), p in j.entries.items() if abs(aa - float(a)) <= TOL_EIG}
     if not row:
         raise KeyError(f"no outcome {a} in joint distribution")
     total = sum(row.values())
     if total <= TOL_PROB:
         raise ZeroProbabilityError(f"outcome {a} has marginal probability {total}")
     return OutcomeDistribution({x: p / total for x, p in row.items()})
+
+
+def bayes_conditionals(j: JointDistribution) -> list[tuple[float, OutcomeDistribution]]:
+    """(a, P(x | a)) for every outcome a whose marginal probability exceeds TOL_PROB."""
+    return [(a, bayes_condition(j, a)) for a, p in j.marginal_a().entries.items() if p > TOL_PROB]
 
 
 def bayes_mixture_check(s: EntangledScenario) -> float:

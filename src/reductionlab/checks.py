@@ -1,0 +1,173 @@
+"""The paper's invariants as one table of named checks, shared by `verify` and `sweep`.
+
+A check maps its inputs to a max deviation: model checks take (model,
+states), scenario checks take (scenario, formula, oracle), the scenario and
+its closed-form and apparatus-level joint distributions. OPERATOR checks are
+judged by the caller's operator tolerance, PROBABILITY checks by TOL_PROB.
+Check functions look library names up when they run, so a caller that
+replaces a module attribute (a tracer, a test double) sees every call.
+"""
+
+from __future__ import annotations
+
+import time
+from typing import Callable, NamedTuple
+
+import numpy as np
+
+from .bayes import (EntangledScenario, LocalApparatusSpec, bayes_conditionals,
+                    bayes_mixture_check, joint_distribution_formula, joint_distribution_oracle,
+                    posterior_state)
+from .linalg import TOL_PROB, dagger, identity, max_abs
+from .measurement import (effects, mixture_identity_check, outcome_probability,
+                          satisfies_projection_postulate, state_reduction,
+                          state_reduction_sandwiched, statistics_deviation, verify_measures)
+from .quantum import (DensityOperator, operator_deviation, random_density, rule1_distribution,
+                      spanning_states)
+from .zoo import random_indirect_model, random_observable
+
+OPERATOR = "operator"
+PROBABILITY = "probability"
+
+
+class Report(NamedTuple):
+    name: str
+    passed: bool
+    max_deviation: float
+    tolerance: float
+    elapsed_ms: float
+
+
+class Check(NamedTuple):
+    name: str
+    kind: str  # OPERATOR or PROBABILITY
+    fn: Callable[..., float]
+
+    def report(self, deviation: float, tol_op: float, elapsed_ms: float = 0.0) -> Report:
+        """Judge a deviation: OPERATOR checks by tol_op, PROBABILITY checks by TOL_PROB."""
+        tol = tol_op if self.kind == OPERATOR else TOL_PROB
+        return Report(self.name, deviation <= tol, deviation, tol, elapsed_ms)
+
+    def run(self, tol_op: float, *args) -> Report:
+        """Evaluate the check on args, timed, and judge it."""
+        start = time.perf_counter()
+        deviation = float(self.fn(*args))
+        return self.report(deviation, tol_op, (time.perf_counter() - start) * 1e3)
+
+
+def _povm(model, states) -> float:
+    """Worst non-Hermiticity and negativity of an effect, or gap of their sum to 1."""
+    total = np.zeros((model.object_dim, model.object_dim), dtype=complex)
+    worst = 0.0
+    for _, eff in effects(model):
+        total += eff
+        lo = float(np.min(np.linalg.eigvalsh((eff + dagger(eff)) / 2)))
+        worst = max(worst, max(0.0, -lo), max_abs(eff - dagger(eff)))
+    return max(worst, max_abs(total - identity(model.object_dim)))
+
+
+def _reduction_equivalence(model, states) -> float:
+    """One-sided against sandwiched reduction, over outcomes with P(a) > TOL_PROB."""
+    dist_cache = [(rho, outcome_probability(model, rho)) for rho in states]
+    worst = 0.0
+    for rho, dist in dist_cache:
+        for a in model.outcomes():
+            if dist.probability(a) > TOL_PROB:
+                worst = max(worst, operator_deviation(
+                    state_reduction(model, rho, a),
+                    state_reduction_sandwiched(model, rho, a)))
+    return worst
+
+
+def _affinity(model, states) -> float:
+    """Affinity of the unnormalized reduction P(a) rho_a on a mixture of the first two states."""
+    rho1, rho2 = states[0], states[1]
+    lam = 0.3
+    mix = DensityOperator(lam * rho1.matrix + (1 - lam) * rho2.matrix)
+    affinity = 0.0
+    for a in model.outcomes():
+        parts = []
+        for rho in (mix, rho1, rho2):
+            p = outcome_probability(model, rho).probability(a)
+            parts.append(p * state_reduction(model, rho, a).matrix if p > TOL_PROB
+                         else np.zeros((model.object_dim, model.object_dim), dtype=complex))
+        affinity = max(affinity, max_abs(parts[0] - lam * parts[1] - (1 - lam) * parts[2]))
+    return affinity
+
+
+def _posterior_conditionals(scenario, formula, oracle) -> float:
+    """Bayes conditionals P(x | a) against rule 1 applied to the posterior state."""
+    worst = 0.0
+    for a, cond in bayes_conditionals(formula):
+        reproduced = rule1_distribution(
+            posterior_state(scenario, a), scenario.h2, scenario.x_obs, scenario.tau)
+        worst = max(worst, cond.max_deviation(reproduced))
+    return worst
+
+
+VERIFY_CHECKS = (
+    Check("measures", OPERATOR, lambda model, states: verify_measures(model).max_deviation),
+    Check("povm", OPERATOR, _povm),
+    Check("statistics", PROBABILITY, lambda model, states: statistics_deviation(model, states)),
+    Check("reduction_equivalence", OPERATOR, _reduction_equivalence),
+    Check("mixture_identity", OPERATOR, lambda model, states: max(
+        mixture_identity_check(model, rho).max_deviation for rho in states)),
+)
+SWEEP_MODEL_CHECKS = VERIFY_CHECKS + (Check("affinity", OPERATOR, _affinity),)
+LOCAL_MEASUREMENT = Check("local_measurement_theorem", OPERATOR,
+                          lambda scenario, formula, oracle: formula.max_deviation(oracle))
+BAYES_MIXTURE = Check("bayes_mixture", OPERATOR,
+                      lambda scenario, formula, oracle: bayes_mixture_check(scenario))
+SCENARIO_CHECKS = (
+    LOCAL_MEASUREMENT,
+    BAYES_MIXTURE,
+    Check("posterior_conditionals", PROBABILITY, _posterior_conditionals),
+)
+SWEEP_CHECKS = SWEEP_MODEL_CHECKS + SCENARIO_CHECKS
+
+
+def verify(model, tol_op: float) -> tuple[list[Report], str]:
+    """Timed verify checks on the spanning states, and the model's classification."""
+    states = spanning_states(model.object_dim)
+    reports = [check.run(tol_op, model, states) for check in VERIFY_CHECKS]
+    if not reports[0].passed:  # the measuring condition
+        return reports, "not-a-measurement-of-claimed-observable"
+    return reports, "projective" if satisfies_projection_postulate(model) else "non-projective"
+
+
+def _random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return (g + dagger(g)) / 2
+
+
+def _trial(seed: int, d_obj: int, d_other: int) -> list[float]:
+    """Sweep-check deviations on one random model, ten random states and an
+    entangled scenario that uses the model as its local apparatus."""
+    rng = np.random.default_rng(seed)
+    model = random_indirect_model(seed, d_obj, d_obj + int(rng.integers(0, 2))).model
+    states = [random_density(rng, d_obj) for _ in range(10)]
+    devs = [check.fn(model, states) for check in SWEEP_MODEL_CHECKS]
+    rho12 = random_density(rng, d_obj * d_other)
+    scenario = EntangledScenario(
+        DensityOperator(rho12.matrix, dims=(d_obj, d_other)),
+        a_obs=model.measured,
+        x_obs=random_observable(rng, d_other),
+        h1=_random_hermitian(rng, d_obj),
+        h2=_random_hermitian(rng, d_other),
+        t=float(rng.uniform(0.1, 2.0)),
+        tau=float(rng.uniform(0.0, 2.0)),
+    )
+    apparatus = LocalApparatusSpec(model, scenario.a_obs)
+    formula = joint_distribution_formula(scenario)
+    oracle = joint_distribution_oracle(scenario, apparatus)
+    return devs + [check.fn(scenario, formula, oracle) for check in SCENARIO_CHECKS]
+
+
+def sweep(seed: int, trials: int, dims: list[int], tol_op: float) -> list[Report]:
+    """Worst deviation of each sweep check over trials seed, seed + 1, ...;
+    trial i pairs object dim dims[i] with partner dim dims[i + 1], cyclically."""
+    worst = [0.0] * len(SWEEP_CHECKS)
+    for i in range(trials):
+        devs = _trial(seed + i, dims[i % len(dims)], dims[(i + 1) % len(dims)])
+        worst = [max(w, dev) for w, dev in zip(worst, devs)]
+    return [check.report(w, tol_op) for check, w in zip(SWEEP_CHECKS, worst)]

@@ -8,18 +8,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-import time
-from dataclasses import dataclass
 
 import numpy as np
 
+from . import checks
 from .bayes import (
-    EntangledScenario,
-    LocalApparatusSpec,
-    bayes_condition,
-    bayes_mixture_check,
+    bayes_conditionals,
     joint_distribution_formula,
     joint_distribution_oracle,
     posterior_state,
@@ -31,17 +28,8 @@ from .errors import (
     ValidationError,
     ZeroProbabilityError,
 )
-from .linalg import TOL_OP, TOL_PROB, dagger, identity, max_abs
-from .measurement import (
-    effects,
-    mixture_identity_check,
-    outcome_probability,
-    satisfies_projection_postulate,
-    state_reduction,
-    state_reduction_sandwiched,
-    statistics_deviation,
-    verify_measures,
-)
+from .linalg import TOL_EIG, TOL_OP, TOL_PROB, identity
+from .measurement import outcome_probability, state_reduction
 from .modelio import (
     load_json,
     matrix_to_pairs,
@@ -51,23 +39,8 @@ from .modelio import (
     save_json,
     scenario_from_dict,
 )
-from .quantum import (
-    DensityOperator,
-    operator_deviation,
-    pure,
-    random_density,
-    rule1_distribution,
-    spanning_states,
-)
-from .zoo import (
-    KET_0,
-    KET_1,
-    KET_MINUS,
-    KET_PLUS,
-    random_indirect_model,
-    random_observable,
-    standard_entries,
-)
+from .quantum import DensityOperator, pure
+from .zoo import KET_0, KET_1, KET_MINUS, KET_PLUS, standard_entries
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -88,32 +61,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass(frozen=True)
-class Report:
-    name: str
-    passed: bool
-    max_deviation: float
-    tolerance: float
-    elapsed_ms: float
-
-    def to_dict(self) -> dict:
-        # timing excluded: fixed seeds must reproduce byte-identical JSON
-        return {
-            "name": self.name,
-            "pass": self.passed,
-            "max_deviation": self.max_deviation,
-            "tolerance": self.tolerance,
-        }
-
-
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _print_reports(reports: list[Report], as_json: bool, extra: dict | None = None):
+def _print_reports(reports: list[checks.Report], as_json: bool, extra: dict):
     if as_json:
-        doc = dict(extra or {})
-        doc["checks"] = [r.to_dict() for r in reports]
+        doc = dict(extra)
+        # timing excluded: fixed seeds must reproduce byte-identical JSON
+        doc["checks"] = [{"name": r.name, "pass": r.passed, "max_deviation": r.max_deviation,
+                          "tolerance": r.tolerance} for r in reports]
         doc["ok"] = all(r.passed for r in reports)
         json.dump(doc, sys.stdout, indent=1)
         sys.stdout.write("\n")
@@ -122,67 +79,14 @@ def _print_reports(reports: list[Report], as_json: bool, extra: dict | None = No
             status = "PASS" if r.passed else "FAIL"
             print(f"{status} {r.name} max_deviation={_fmt(r.max_deviation)} "
                   f"tolerance={_fmt(r.tolerance)} ({r.elapsed_ms:.1f} ms)")
-        for key, value in (extra or {}).items():
+        for key, value in extra.items():
             print(f"{key}: {value}")
-
-
-def _timed(name: str, tolerance: float, fn) -> Report:
-    start = time.perf_counter()
-    dev = float(fn())
-    elapsed = (time.perf_counter() - start) * 1e3
-    return Report(name, dev <= tolerance, dev, tolerance, elapsed)
-
-
-def _povm_deviation(model) -> float:
-    total = np.zeros((model.object_dim, model.object_dim), dtype=complex)
-    worst = 0.0
-    for _, eff in effects(model):
-        total += eff
-        lo = float(np.min(np.linalg.eigvalsh((eff + dagger(eff)) / 2)))
-        worst = max(worst, max(0.0, -lo), max_abs(eff - dagger(eff)))
-    return max(worst, max_abs(total - identity(model.object_dim)))
-
-
-def _reduction_equivalence_deviation(model, states) -> float:
-    dist_cache = [(rho, outcome_probability(model, rho)) for rho in states]
-    worst = 0.0
-    for rho, dist in dist_cache:
-        for a in model.outcomes():
-            if dist.probability(a) > TOL_PROB:
-                worst = max(worst, operator_deviation(
-                    state_reduction(model, rho, a),
-                    state_reduction_sandwiched(model, rho, a)))
-    return worst
-
-
-def _mixture_deviation(model, states) -> float:
-    return max(mixture_identity_check(model, rho).max_deviation for rho in states)
-
-
-def _model_reports(model, tol_op: float) -> list[Report]:
-    states = spanning_states(model.object_dim)
-    return [
-        _timed("measures", tol_op, lambda: verify_measures(model).max_deviation),
-        _timed("povm", tol_op, lambda: _povm_deviation(model)),
-        _timed("statistics", TOL_PROB,
-               lambda: statistics_deviation(model, states)),
-        _timed("reduction_equivalence", tol_op,
-               lambda: _reduction_equivalence_deviation(model, states)),
-        _timed("mixture_identity", tol_op,
-               lambda: _mixture_deviation(model, states)),
-    ]
 
 
 def cmd_verify(args) -> int:
     model = model_from_dict(load_json(args.model))
-    reports = _model_reports(model, args.tolerance)
-    extra = {}
-    if reports[0].passed:
-        projective = satisfies_projection_postulate(model)
-        extra["classification"] = "projective" if projective else "non-projective"
-    else:
-        extra["classification"] = "not-a-measurement-of-claimed-observable"
-    _print_reports(reports, args.json, extra)
+    reports, classification = checks.verify(model, args.tolerance)
+    _print_reports(reports, args.json, {"classification": classification})
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VALIDATION
 
 
@@ -214,13 +118,8 @@ def _parse_state(spec: str, dim: int) -> DensityOperator:
 def cmd_reduce(args) -> int:
     model = model_from_dict(load_json(args.model))
     rho = _parse_state(args.state, model.object_dim)
-    try:
-        projection = model.measured.projection(args.outcome)
-    except KeyError:
-        raise ValidationError(
-            f"outcome {args.outcome} is not in the spectrum {model.outcomes()}"
-        ) from None
-    del projection
+    if not any(abs(a - args.outcome) <= TOL_EIG for a in model.outcomes()):
+        raise ValidationError(f"outcome {args.outcome} is not in the spectrum {model.outcomes()}")
     p = outcome_probability(model, rho).probability(args.outcome)
     reduced = state_reduction(model, rho, args.outcome)
     json.dump({"probability": p, "matrix": matrix_to_pairs(reduced.matrix)},
@@ -236,31 +135,24 @@ def _joint_to_list(j) -> list:
 def cmd_entangled(args) -> int:
     scenario, apparatus = scenario_from_dict(load_json(args.scenario))
     formula = joint_distribution_formula(scenario)
-    marg_a = formula.marginal_a()
-    marg_x = formula.marginal_x()
     doc: dict = {"joint_formula": _joint_to_list(formula)}
     ok = True
     if apparatus is not None:
         oracle = joint_distribution_oracle(scenario, apparatus)
-        dev = formula.max_deviation(oracle)
+        report = checks.LOCAL_MEASUREMENT.run(args.tolerance, scenario, formula, oracle)
         doc["joint_oracle"] = _joint_to_list(oracle)
-        doc["formula_oracle_deviation"] = dev
-        ok = ok and dev <= args.tolerance
+        doc["formula_oracle_deviation"] = report.max_deviation
+        ok = report.passed
     doc["prior"] = matrix_to_pairs(prior_state(scenario).matrix)
-    posteriors = {}
-    independent = True
-    for a in scenario.a_obs.eigenvalues:
-        if marg_a.probability(a) <= TOL_PROB:
-            continue
-        posteriors[_fmt(a)] = matrix_to_pairs(posterior_state(scenario, a).matrix)
-        cond = bayes_condition(formula, a)
-        if cond.max_deviation(marg_x) > TOL_PROB:
-            independent = False
-    doc["posteriors"] = posteriors
+    marg_x = formula.marginal_x()
+    conditionals = bayes_conditionals(formula)
+    doc["posteriors"] = {_fmt(a): matrix_to_pairs(posterior_state(scenario, a).matrix)
+                         for a, _ in conditionals}
+    independent = not any(cond.max_deviation(marg_x) > TOL_PROB for _, cond in conditionals)
     doc["independent"] = independent
-    mix_dev = bayes_mixture_check(scenario)
-    doc["bayes_mixture_deviation"] = mix_dev
-    ok = ok and mix_dev <= args.tolerance
+    mixture = checks.BAYES_MIXTURE.run(args.tolerance, scenario, formula, None)
+    doc["bayes_mixture_deviation"] = mixture.max_deviation
+    ok = ok and mixture.passed
     doc["ok"] = ok
     if args.json:
         json.dump(doc, sys.stdout, indent=1)
@@ -272,101 +164,16 @@ def cmd_entangled(args) -> int:
         if "formula_oracle_deviation" in doc:
             print(f"formula vs oracle deviation: {_fmt(doc['formula_oracle_deviation'])}")
         print(f"independent: {independent}")
-        print(f"bayes mixture deviation: {_fmt(mix_dev)}")
+        print(f"bayes mixture deviation: {_fmt(mixture.max_deviation)}")
         print("ok" if ok else "FAILED")
     return EXIT_OK if ok else EXIT_VALIDATION
-
-
-def _random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return (g + dagger(g)) / 2
-
-
-def _sweep_trial(seed: int, d_obj: int, d_other: int) -> dict[str, float]:
-    rng = np.random.default_rng(seed)
-    entry = random_indirect_model(seed, d_obj, d_obj + int(rng.integers(0, 2)))
-    model = entry.model
-    states = [random_density(rng, d_obj) for _ in range(10)]
-    devs = {
-        "measures": verify_measures(model).max_deviation,
-        "povm": _povm_deviation(model),
-        "statistics": statistics_deviation(model, states),
-        "reduction_equivalence": _reduction_equivalence_deviation(model, states),
-        "mixture_identity": _mixture_deviation(model, states),
-    }
-    # affinity of the unnormalized reduction map
-    rho1, rho2 = states[0], states[1]
-    lam = 0.3
-    mix = DensityOperator(lam * rho1.matrix + (1 - lam) * rho2.matrix)
-    affinity = 0.0
-    for a in model.outcomes():
-        parts = []
-        for rho in (mix, rho1, rho2):
-            p = outcome_probability(model, rho).probability(a)
-            parts.append(p * state_reduction(model, rho, a).matrix if p > TOL_PROB
-                         else np.zeros((d_obj, d_obj), dtype=complex))
-        affinity = max(affinity, max_abs(parts[0] - lam * parts[1] - (1 - lam) * parts[2]))
-    devs["affinity"] = affinity
-    # entangled scenario driven by this model as the local apparatus
-    rho12 = random_density(rng, d_obj * d_other)
-    scenario = EntangledScenario(
-        DensityOperator(rho12.matrix, dims=(d_obj, d_other)),
-        a_obs=model.measured,
-        x_obs=random_observable(rng, d_other),
-        h1=_random_hermitian(rng, d_obj),
-        h2=_random_hermitian(rng, d_other),
-        t=float(rng.uniform(0.1, 2.0)),
-        tau=float(rng.uniform(0.0, 2.0)),
-    )
-    apparatus = LocalApparatusSpec(model, scenario.a_obs)
-    formula = joint_distribution_formula(scenario)
-    devs["local_measurement_theorem"] = formula.max_deviation(
-        joint_distribution_oracle(scenario, apparatus))
-    devs["bayes_mixture"] = bayes_mixture_check(scenario)
-    marg_a = formula.marginal_a()
-    cond_dev = 0.0
-    for a in scenario.a_obs.eigenvalues:
-        if marg_a.probability(a) <= TOL_PROB:
-            continue
-        cond = bayes_condition(formula, a)
-        reproduced = rule1_distribution(
-            posterior_state(scenario, a), scenario.h2, scenario.x_obs, scenario.tau)
-        cond_dev = max(cond_dev, cond.max_deviation(reproduced))
-    devs["posterior_conditionals"] = cond_dev
-    return devs
-
-
-_SWEEP_TOLERANCES = {
-    "measures": TOL_OP,
-    "povm": TOL_OP,
-    "statistics": TOL_PROB,
-    "reduction_equivalence": TOL_OP,
-    "mixture_identity": TOL_OP,
-    "affinity": TOL_OP,
-    "local_measurement_theorem": TOL_OP,
-    "bayes_mixture": TOL_OP,
-    "posterior_conditionals": TOL_PROB,
-}
 
 
 def cmd_sweep(args) -> int:
     if args.trials < 1:
         raise UsageError(f"--trials must be at least 1, got {args.trials}")
-    dims = args.dims
-    worst = {name: 0.0 for name in _SWEEP_TOLERANCES}
-    for i in range(args.trials):
-        d_obj = dims[i % len(dims)]
-        d_other = dims[(i + 1) % len(dims)]
-        devs = _sweep_trial(args.seed + i, d_obj, d_other)
-        for name, dev in devs.items():
-            worst[name] = max(worst[name], dev)
-    reports = []
-    for name, dev in worst.items():
-        tol = _SWEEP_TOLERANCES[name]
-        if tol == TOL_OP:
-            tol = args.tolerance
-        reports.append(Report(name, dev <= tol, dev, tol, 0.0))
-    extra = {"seed": args.seed, "trials": args.trials, "dims": list(dims)}
+    reports = checks.sweep(args.seed, args.trials, args.dims, args.tolerance)
+    extra = {"seed": args.seed, "trials": args.trials, "dims": list(args.dims)}
     _print_reports(reports, args.json, extra)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VALIDATION
 
@@ -394,13 +201,24 @@ def _parse_dims(text: str) -> list[int]:
     return dims
 
 
+def _tolerance(text: str, source: str = "--tolerance") -> float:
+    """An operator tolerance: a finite number >= 0, from the flag or the environment."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol >= 0):
+        raise UsageError(f"{source} must be a finite number >= 0, got {text!r}")
+    return tol
+
+
 def build_parser(default_tol: float) -> argparse.ArgumentParser:
     parser = _Parser(prog="reductionlab",
                      description="Measurement-model verification and state reduction")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--tolerance", type=float, default=default_tol,
+        p.add_argument("--tolerance", type=_tolerance, default=default_tol,
                        help="operator tolerance for pass/fail judgments")
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
@@ -438,23 +256,16 @@ def build_parser(default_tol: float) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    default_tol = TOL_OP
-    env = os.environ.get(TOL_ENV_VAR)
-    if env is not None:
-        try:
-            default_tol = float(env)
-        except ValueError:
-            print(f"error: {TOL_ENV_VAR}={env!r} is not a number", file=sys.stderr)
-            return EXIT_USAGE
-    parser = build_parser(default_tol)
     try:
-        args = parser.parse_args(argv)
+        env = os.environ.get(TOL_ENV_VAR)
+        default_tol = TOL_OP if env is None else _tolerance(env, TOL_ENV_VAR)
+        args = build_parser(default_tol).parse_args(argv)
         return args.fn(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
+    except (FileNotFoundError, IsADirectoryError) as exc:
+        print(f"error: {exc.strerror}: {exc.filename}", file=sys.stderr)
         return EXIT_MISSING_FILE
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -198,14 +198,18 @@ def mixture_identity_check(model: MeasurementModel, rho: DensityOperator) -> Che
     return CheckReport(passes=dev <= TOL_OP, max_deviation=dev)
 
 
-def satisfies_projection_postulate(model: MeasurementModel, n_random: int = 50,
-                                   seed: int = 7) -> bool:
+# Random states that the projection-postulate test adds to the spanning set, and their seed.
+_POSTULATE_RANDOM_STATES = 50
+_POSTULATE_SEED = 7
+
+
+def satisfies_projection_postulate(model: MeasurementModel) -> bool:
     """True iff the reduction is the Lueders form E^A(a) rho E^A(a) / P(a) on a spanning set."""
     if not verify_measures(model).passes:
         raise ValidationError("model does not measure its claimed observable")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_POSTULATE_SEED)
     states = spanning_states(model.object_dim)
-    states += [random_density(rng, model.object_dim) for _ in range(n_random)]
+    states += [random_density(rng, model.object_dim) for _ in range(_POSTULATE_RANDOM_STATES)]
     for rho in states:
         for a in model.outcomes():
             ea = model.measured.projection(a)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -33,17 +34,25 @@ def pairs_to_matrix(pairs, field: str) -> np.ndarray:
         raise ParseError(f"{field}: {n} entries is not a positive square")
     flat = np.empty(n, dtype=complex)
     for i, p in enumerate(pairs):
-        if not (isinstance(p, list) and len(p) == 2
-                and all(isinstance(v, (int, float)) for v in p)):
+        if not (isinstance(p, list) and len(p) == 2 and _finite(p[0]) and _finite(p[1])):
             raise ParseError(f"{field}: entry {i} is not a [re, im] pair")
         flat[i] = complex(p[0], p[1])
     return flat.reshape(dim, dim)
+
+
+def _finite(v) -> bool:
+    """A number that fits a finite float. JSON true and false load as bool, an int subclass."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 def _require(doc: dict, field: str):
     if field not in doc:
         raise ParseError(f"missing required field '{field}'")
     return doc[field]
+
+
+def _matrix(doc: dict, field: str) -> np.ndarray:
+    return pairs_to_matrix(_require(doc, field), field)
 
 
 def _check_version(doc: dict):
@@ -54,9 +63,24 @@ def _check_version(doc: dict):
 
 def _int_field(doc: dict, field: str) -> int:
     v = _require(doc, field)
-    if not isinstance(v, int) or v <= 0:
+    if isinstance(v, bool) or not isinstance(v, int) or v <= 0:
         raise ParseError(f"{field}: expected a positive integer, got {v!r}")
     return v
+
+
+def _number_field(doc: dict, field: str) -> float:
+    v = _require(doc, field)
+    if not _finite(v):
+        raise ParseError(f"{field}: expected a finite number, got {v!r}")
+    return float(v)
+
+
+def _validated(field: str, build, *args, **kwargs):
+    """build(*args, **kwargs), its ValidationError prefixed by the field it came from."""
+    try:
+        return build(*args, **kwargs)
+    except ValidationError as exc:
+        raise ValidationError(f"{field}: {exc}") from exc
 
 
 def model_to_dict(model: MeasurementModel) -> dict:
@@ -78,10 +102,8 @@ def model_from_dict(doc: dict) -> MeasurementModel:
     _check_version(doc)
     object_dim = _int_field(doc, "object_dim")
     apparatus_dim = _int_field(doc, "apparatus_dim")
-    mats = {
-        field: pairs_to_matrix(_require(doc, field), field)
-        for field in ("sigma", "u", "a_matrix", "b_matrix", "object_hamiltonian")
-    }
+    mats = {field: _matrix(doc, field)
+            for field in ("sigma", "u", "a_matrix", "b_matrix", "object_hamiltonian")}
     expected = {
         "sigma": apparatus_dim,
         "u": object_dim * apparatus_dim,
@@ -94,20 +116,11 @@ def model_from_dict(doc: dict) -> MeasurementModel:
             raise ParseError(
                 f"{field}: expected a {dim}x{dim} matrix, got {mats[field].shape[0]}x{mats[field].shape[0]}"
             )
-    try:
-        sigma = DensityOperator(mats["sigma"])
-    except ValidationError as exc:
-        raise ValidationError(f"sigma: {exc}") from exc
-    try:
-        probe = Observable(mats["b_matrix"])
-    except ValidationError as exc:
-        raise ValidationError(f"b_matrix: {exc}") from exc
-    try:
-        measured = Observable(mats["a_matrix"])
-    except ValidationError as exc:
-        raise ValidationError(f"a_matrix: {exc}") from exc
     return MeasurementModel(
-        sigma=sigma, u=mats["u"], probe=probe, measured=measured,
+        sigma=_validated("sigma", DensityOperator, mats["sigma"]),
+        u=mats["u"],
+        probe=_validated("b_matrix", Observable, mats["b_matrix"]),
+        measured=_validated("a_matrix", Observable, mats["a_matrix"]),
         object_hamiltonian=mats["object_hamiltonian"],
     )
 
@@ -136,28 +149,15 @@ def scenario_from_dict(doc: dict) -> tuple[EntangledScenario, LocalApparatusSpec
     _check_version(doc)
     d1 = _int_field(doc, "dim1")
     d2 = _int_field(doc, "dim2")
-    rho12 = pairs_to_matrix(_require(doc, "rho12"), "rho12")
+    rho12 = _matrix(doc, "rho12")
     if rho12.shape[0] != d1 * d2:
         raise ParseError(f"rho12: expected dimension {d1 * d2}, got {rho12.shape[0]}")
-    try:
-        rho = DensityOperator(rho12, dims=(d1, d2))
-    except ValidationError as exc:
-        raise ValidationError(f"rho12: {exc}") from exc
-    try:
-        a_obs = Observable(pairs_to_matrix(_require(doc, "a_matrix"), "a_matrix"))
-    except ValidationError as exc:
-        raise ValidationError(f"a_matrix: {exc}") from exc
-    try:
-        x_obs = Observable(pairs_to_matrix(_require(doc, "x_matrix"), "x_matrix"))
-    except ValidationError as exc:
-        raise ValidationError(f"x_matrix: {exc}") from exc
-    h1 = pairs_to_matrix(_require(doc, "h1"), "h1")
-    h2 = pairs_to_matrix(_require(doc, "h2"), "h2")
-    t = _require(doc, "t")
-    tau = _require(doc, "tau")
-    if not isinstance(t, (int, float)) or not isinstance(tau, (int, float)):
-        raise ParseError("t and tau must be numbers")
-    scenario = EntangledScenario(rho, a_obs, x_obs, h1=h1, h2=h2, t=float(t), tau=float(tau))
+    rho = _validated("rho12", DensityOperator, rho12, dims=(d1, d2))
+    a_obs = _validated("a_matrix", Observable, _matrix(doc, "a_matrix"))
+    x_obs = _validated("x_matrix", Observable, _matrix(doc, "x_matrix"))
+    h1, h2 = _matrix(doc, "h1"), _matrix(doc, "h2")
+    t, tau = _number_field(doc, "t"), _number_field(doc, "tau")
+    scenario = EntangledScenario(rho, a_obs, x_obs, h1=h1, h2=h2, t=t, tau=tau)
     apparatus = None
     if "apparatus" in doc:
         apparatus = LocalApparatusSpec(model_from_dict(doc["apparatus"]), a_obs)
@@ -166,7 +166,10 @@ def scenario_from_dict(doc: dict) -> tuple[EntangledScenario, LocalApparatusSpec
 
 def load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

@@ -71,21 +71,37 @@ class DensityOperator:
         return self.matrix.shape[0]
 
 
-class OutcomeDistribution:
-    """Map from outcome value to probability; normalized to 1 within TOL_PROB."""
+class Distribution:
+    """Map from outcome to probability, normalized to 1 within TOL_PROB.
+
+    An outcome is a float, or a tuple of floats for a joint outcome.
+    """
 
     def __init__(self, entries: dict):
         total = 0.0
-        clean: dict[float, float] = {}
-        for a, p in entries.items():
+        clean = {}
+        for key, p in entries.items():
             p = float(p)
             if p < -TOL_PROB or p > 1.0 + TOL_PROB:
-                raise ValidationError(f"probability {p} for outcome {a} out of range")
-            clean[float(a)] = p
+                raise ValidationError(f"probability {p} for outcome {key} out of range")
+            clean[tuple(map(float, key)) if isinstance(key, tuple) else float(key)] = p
             total += p
         if abs(total - 1.0) > TOL_PROB:
             raise ValidationError(f"probabilities sum to {total}, expected 1")
         self.entries = clean
+
+    def _differences(self, other: "Distribution") -> list[float]:
+        keys = sorted(self.entries)
+        if keys != sorted(other.entries):
+            raise DimensionMismatchError("distributions have different outcome sets")
+        return [abs(self.entries[k] - other.entries[k]) for k in keys]
+
+    def max_deviation(self, other: "Distribution") -> float:
+        return max(self._differences(other))
+
+
+class OutcomeDistribution(Distribution):
+    """Map from outcome value to probability."""
 
     def probability(self, a: float) -> float:
         for val, p in self.entries.items():
@@ -95,12 +111,6 @@ class OutcomeDistribution:
 
     def outcomes(self) -> list[float]:
         return sorted(self.entries)
-
-    def max_deviation(self, other: "OutcomeDistribution") -> float:
-        keys = sorted(self.entries)
-        if keys != sorted(other.entries):
-            raise DimensionMismatchError("distributions have different outcome sets")
-        return max(abs(self.entries[k] - other.entries[k]) for k in keys)
 
 
 def ket(*amplitudes) -> np.ndarray:

@@ -68,6 +68,30 @@ class TestModelRoundTrip:
         with pytest.raises(ParseError, match="sigma"):
             model_from_dict(doc)
 
+    @pytest.mark.parametrize("field, value", [
+        ("sigma", [[True, False]] + [[0.0, 0.0]] * 3),
+        ("sigma", [[float("nan"), 0.0]] + [[0.0, 0.0]] * 3),
+        ("u", [[float("inf"), 0.0]] * 16),
+        ("sigma", [[10 ** 400, 0]] + [[0.0, 0.0]] * 3),
+        ("object_dim", True),
+    ])
+    def test_rejects_booleans_and_non_finite_numbers(self, field, value):
+        doc = model_to_dict(cnot_qubit_model().model)
+        doc[field] = value
+        with pytest.raises(ParseError, match=field):
+            model_from_dict(json.loads(json.dumps(doc)))
+
+    @pytest.mark.parametrize("field, value", [
+        ("tau", float("nan")), ("t", float("inf")), ("t", True), ("dim1", True),
+    ])
+    def test_scenario_rejects_booleans_and_non_finite_numbers(
+            self, bell_scenario_path, capsys, field, value):
+        doc = load_json(bell_scenario_path)
+        doc[field] = value
+        save_json(bell_scenario_path, doc)
+        assert main(["entangled", bell_scenario_path]) == 3
+        assert f"{field}:" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_verify_ok(self, cnot_path, capsys):
@@ -77,6 +101,14 @@ class TestExitCodes:
 
     def test_missing_file(self, capsys):
         assert main(["verify", "/no/such/file.json"]) == 2
+
+    def test_directory(self, tmp_path, capsys):
+        assert main(["verify", str(tmp_path)]) == 2
+
+    def test_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "utf16.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        assert main(["verify", str(bad)]) == 3
 
     def test_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -213,3 +245,18 @@ class TestToleranceOverride:
     def test_bad_env(self, cnot_path, capsys, monkeypatch):
         monkeypatch.setenv("REDUCTIONLAB_TOL", "not-a-number")
         assert main(["verify", cnot_path]) == 1
+
+    def test_nan_env(self, cnot_path, capsys, monkeypatch):
+        monkeypatch.setenv("REDUCTIONLAB_TOL", "nan")
+        assert main(["verify", cnot_path]) == 1
+
+    @pytest.mark.parametrize("value", ["nan", "-1"])
+    def test_bad_flag(self, cnot_path, capsys, value):
+        assert main(["verify", cnot_path, "--tolerance", value]) == 1
+
+    def test_flag_leaves_probability_checks_at_tol_prob(self, capsys):
+        assert main(["sweep", "--trials", "1", "--tolerance", "1e-3", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        tolerances = {c["name"]: c["tolerance"] for c in doc["checks"]}
+        assert tolerances.pop("statistics") == tolerances.pop("posterior_conditionals") == 1e-10
+        assert list(tolerances.values()) == [1e-3] * 7
