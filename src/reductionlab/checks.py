@@ -67,7 +67,8 @@ def _povm(model, states) -> float:
 
 
 def _reduction_equivalence(model, states) -> float:
-    """One-sided against sandwiched reduction, over outcomes with P(a) > TOL_PROB."""
+    """Kraus-form reduction against the composite-space sandwiched oracle, over
+    outcomes with P(a) > TOL_PROB."""
     dist_cache = [(rho, outcome_probability(model, rho)) for rho in states]
     worst = 0.0
     for rho, dist in dist_cache:

@@ -3,13 +3,23 @@
 A measurement model is the apparatus preparation sigma, the integrated
 object-apparatus interaction unitary U, and the probe observable B,
 together with the observable A it claims to measure.  The model measures
-A exactly when its effects reproduce A's spectral projections; state
-reduction is then computed from the composite dynamics alone.
+A exactly when its effects reproduce A's spectral projections.
+
+Every quantity is evaluated through the model's instrument, the operation
+I_a(rho) = Tr_A[(1 (x) E^B(a)) U (rho (x) sigma) U^dag], in its Kraus form
+sum_{k,l} M_akl rho M_akl^dag with M_akl = sqrt(s_l) <b_k| U |phi_l>, where
+sigma = sum_l s_l |phi_l><phi_l| and {b_k} is an orthonormal basis of
+E^B(a).  Nothing on that path forms a composite-space operator.  The
+composite-space forms (`MeasurementModel.composite_after`,
+`MeasurementModel.probe_projection`, `state_reduction_sandwiched`,
+`projection_postulate_composite`) are kept only as the oracle that the
+Kraus form is checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -93,12 +103,60 @@ class MeasurementModel:
         """Canonical outcome labels: the measured observable's clustered eigenvalues."""
         return self.measured.eigenvalues
 
+    def _index(self, a: float) -> int:
+        """Position of outcome `a` among the sorted outcomes."""
+        for i, val in enumerate(self.outcomes()):
+            if abs(val - a) <= TOL_EIG:
+                return i
+        raise KeyError(f"{a} is not an outcome of this model")
+
     def probe_projection(self, a: float) -> np.ndarray:
         """Probe projection aligned with outcome `a` of the measured observable."""
-        for val, (_, proj) in zip(self.measured.eigenvalues, self.probe.spectrum):
-            if abs(val - a) <= TOL_EIG:
-                return proj
-        raise KeyError(f"{a} is not an outcome of this model")
+        return self.probe.spectrum[self._index(a)][1]
+
+    # The instrument's data is built on first use, so that loading a model
+    # stays cheap.  Whole Kraus stacks are rebuilt per call rather than kept:
+    # they take d^2 * d_app * rank(sigma) entries per model.
+
+    @cached_property
+    def _pointer(self) -> np.ndarray:
+        """Columns sqrt(s_l) |phi_l> over the eigenvalues s_l of sigma above its rounding level."""
+        s, phi = np.linalg.eigh(self.sigma.matrix)
+        keep = s > s.max() * self.apparatus_dim * np.finfo(float).eps
+        return phi[:, keep] * np.sqrt(s[keep])
+
+    @cached_property
+    def _probe_bases(self) -> list[np.ndarray]:
+        """An orthonormal basis of E^B(a), as columns, for each outcome a in sorted order."""
+        bases = []
+        for _, proj in self.probe.spectrum:
+            w, v = np.linalg.eigh(proj)
+            bases.append(v[:, w > 0.5])
+        return bases
+
+    @cached_property
+    def _effects(self) -> list[tuple[float, np.ndarray]]:
+        """(a, sum_{k,l} M_akl^dag M_akl) for each outcome a, read-only."""
+        out = []
+        for a, basis in zip(self.outcomes(), self._probe_bases):
+            m = self._kraus(basis)
+            eff = np.tensordot(m.conj(), m, axes=([0, 1], [0, 1]))
+            eff.setflags(write=False)
+            out.append((a, eff))
+        return out
+
+    def _kraus(self, basis: np.ndarray | None = None) -> np.ndarray:
+        """The operators <b_k| U |psi_l> on the object, stacked as (k * l, d, d).
+
+        b_k runs over the columns of `basis` (the standard basis of the
+        apparatus when None) and psi_l over the pointer columns.
+        """
+        d, da = self.object_dim, self.apparatus_dim
+        # up[i, beta, j, l] = sum_beta' U[(i, beta), (j, beta')] psi_l[beta']
+        up = (self.u.reshape(-1, da) @ self._pointer).reshape(d, da, d, -1)
+        if basis is not None:
+            up = (basis.conj().T @ up.reshape(d, da, -1)).reshape(d, basis.shape[1], d, -1)
+        return up.transpose(1, 3, 0, 2).reshape(-1, d, d)
 
     def _check_state(self, rho: DensityOperator):
         if rho.dim != self.object_dim:
@@ -112,15 +170,15 @@ class MeasurementModel:
         return self.u @ tensor(rho.matrix, self.sigma.matrix) @ dagger(self.u)
 
 
+def _apply(kraus: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """sum_n M_n rho M_n^dag over a Kraus stack."""
+    return np.tensordot(kraus @ rho, kraus.conj(), axes=([0, 2], [0, 2]))
+
+
 def effects(model: MeasurementModel) -> list[tuple[float, np.ndarray]]:
-    """The POVM: effect(a) = Tr_A[U^dag (1 (x) E^B(a)) U (1 (x) sigma)]."""
-    dims = (model.object_dim, model.apparatus_dim)
-    one_sigma = tensor(identity(model.object_dim), model.sigma.matrix)
-    out = []
-    for a in model.outcomes():
-        eb = tensor(identity(model.object_dim), model.probe_projection(a))
-        out.append((a, partial_trace(dagger(model.u) @ eb @ model.u @ one_sigma, dims, [0])))
-    return out
+    """The POVM: effect(a) = sum_{k,l} M_akl^dag M_akl
+    = Tr_A[U^dag (1 (x) E^B(a)) U (1 (x) sigma)], computed once per model."""
+    return list(model._effects)
 
 
 def verify_measures(model: MeasurementModel) -> CheckReport:
@@ -132,55 +190,50 @@ def verify_measures(model: MeasurementModel) -> CheckReport:
 
 
 def outcome_probability(model: MeasurementModel, rho: DensityOperator) -> OutcomeDistribution:
-    """P(a) = Tr[(1 (x) E^B(a)) U (rho (x) sigma) U^dag], read from the probe."""
-    comp = model.composite_after(rho)
-    entries = {}
-    for a in model.outcomes():
-        eb = tensor(identity(model.object_dim), model.probe_projection(a))
-        entries[a] = float(np.trace(eb @ comp).real)
-    return OutcomeDistribution(entries)
+    """P(a) = Tr[effect(a) rho], the probability of reading E^B(a) on the probe."""
+    model._check_state(rho)
+    return OutcomeDistribution(
+        {a: float(np.trace(eff @ rho.matrix).real) for a, eff in model._effects}
+    )
 
 
 def nonselective_state(model: MeasurementModel, rho: DensityOperator) -> DensityOperator:
-    """rho' = Tr_A[U (rho (x) sigma) U^dag]: the outcome-averaged state change."""
-    dims = (model.object_dim, model.apparatus_dim)
-    return DensityOperator(partial_trace(model.composite_after(rho), dims, [0]))
-
-
-def _selected_unnormalized(model: MeasurementModel, rho: DensityOperator, a: float,
-                           sandwich: bool) -> tuple[np.ndarray, float]:
-    dims = (model.object_dim, model.apparatus_dim)
-    eb = tensor(identity(model.object_dim), model.probe_projection(a))
-    comp = eb @ model.composite_after(rho)
-    if sandwich:
-        comp = comp @ eb
-    num = partial_trace(comp, dims, [0])
-    return num, float(np.trace(comp).real)
+    """rho' = sum_a I_a(rho) = Tr_A[U (rho (x) sigma) U^dag]: the outcome-averaged state change."""
+    model._check_state(rho)
+    return DensityOperator(_apply(model._kraus(), rho.matrix))
 
 
 def state_reduction(model: MeasurementModel, rho: DensityOperator, a: float) -> DensityOperator:
-    """rho_a = Tr_A[(1 (x) E^B(a)) U (rho (x) sigma) U^dag] / P(a)."""
-    num, p = _selected_unnormalized(model, rho, a, sandwich=False)
+    """rho_a = I_a(rho) / P(a) = sum_{k,l} M_akl rho M_akl^dag / P(a)."""
+    model._check_state(rho)
+    num = _apply(model._kraus(model._probe_bases[model._index(a)]), rho.matrix)
+    p = float(np.trace(num).real)
     if p <= TOL_PROB:
         raise ZeroProbabilityError(f"outcome {a} has probability {p}; reduced state undefined")
     return DensityOperator(num / p)
+
+
+def _detected_composite(model: MeasurementModel, rho: DensityOperator,
+                        a: float) -> tuple[np.ndarray, float]:
+    """(1 (x) E^B(a)) U (rho (x) sigma) U^dag (1 (x) E^B(a)) and its trace P(a)."""
+    eb = tensor(identity(model.object_dim), model.probe_projection(a))
+    comp = eb @ model.composite_after(rho) @ eb
+    return comp, float(np.trace(comp).real)
 
 
 def state_reduction_sandwiched(model: MeasurementModel, rho: DensityOperator,
                                a: float) -> DensityOperator:
-    """Same reduction with the probe projection applied on both sides."""
-    num, p = _selected_unnormalized(model, rho, a, sandwich=True)
+    """Oracle: the reduction on the composite space, probe projection on both sides."""
+    comp, p = _detected_composite(model, rho, a)
     if p <= TOL_PROB:
         raise ZeroProbabilityError(f"outcome {a} has probability {p}; reduced state undefined")
-    return DensityOperator(num / p)
+    return DensityOperator(partial_trace(comp, (model.object_dim, model.apparatus_dim), [0]) / p)
 
 
 def projection_postulate_composite(model: MeasurementModel, rho: DensityOperator,
                                    a: float) -> DensityOperator:
     """The conventional post-probe-detection composite state (both-sided projection)."""
-    eb = tensor(identity(model.object_dim), model.probe_projection(a))
-    comp = eb @ model.composite_after(rho) @ eb
-    p = float(np.trace(comp).real)
+    comp, p = _detected_composite(model, rho, a)
     if p <= TOL_PROB:
         raise ZeroProbabilityError(f"outcome {a} has probability {p}; composite state undefined")
     return DensityOperator(comp / p, dims=(model.object_dim, model.apparatus_dim))

@@ -115,6 +115,20 @@ class TestExitCodes:
         bad.write_text("{not json")
         assert main(["verify", str(bad)]) == 3
 
+    def test_deeply_nested(self, tmp_path, capsys):
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 100_000)
+        assert main(["verify", str(bad)]) == 3
+        assert "nested too deeply" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suffix,reason", [("", "File exists"), ("/sub", "Not a directory")])
+    def test_export_zoo_onto_a_file(self, tmp_path, capsys, suffix, reason):
+        target = tmp_path / "file"
+        target.touch()
+        path = str(target) + suffix
+        assert main(["export-zoo", path]) == 2
+        assert capsys.readouterr().err == f"error: {reason}: {path}\n"
+
     def test_validation_error(self, tmp_path, cnot_path, capsys):
         doc = load_json(cnot_path)
         doc["u"] = [[0.5, 0.0]] * 16

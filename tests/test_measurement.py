@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from reductionlab import measurement
 from reductionlab.errors import ValidationError, ZeroProbabilityError
-from reductionlab.linalg import TOL_OP, TOL_PROB, identity, max_abs, partial_trace
+from reductionlab.linalg import TOL_OP, TOL_PROB, dagger, identity, max_abs, partial_trace, tensor
 from reductionlab.measurement import (
     MeasurementModel,
     effects,
@@ -31,6 +32,8 @@ from reductionlab.zoo import (
     PAULI_Z,
     cnot_qubit_model,
     random_indirect_model,
+    random_observable,
+    standard_entries,
     swap_replace_model,
 )
 
@@ -246,3 +249,70 @@ class TestSpanningSetConsistency:
             dev = outcome_probability(CNOT, rho).max_deviation(
                 born_distribution(CNOT.measured, rho))
             assert dev < TOL_PROB
+
+
+def _pure_pointer_with_rounding_spectrum():
+    model = random_indirect_model(7, 4, 5).model
+    # sigma = W|0><0|W^dag: its null eigenvalues come out at rounding level, of either sign
+    assert 0 < np.max(np.abs(np.linalg.eigvalsh(model.sigma.matrix)[:-1])) < 1e-15
+    return model
+
+
+def _swap_full_rank():
+    rng = np.random.default_rng(11)
+    return swap_replace_model(random_density(rng, 3), random_observable(rng, 3, 2)).model
+
+
+KRAUS_MODELS = [(e.name, lambda e=e: e.model) for e in standard_entries()] + [
+    ("random_indirect_3x4", lambda: random_indirect_model(3, 3, 4).model),
+    ("random_indirect_5x6", lambda: random_indirect_model(4, 5, 6).model),
+    ("swap_full_rank_sigma", _swap_full_rank),
+    ("pure_pointer_rounding_spectrum", _pure_pointer_with_rounding_spectrum),
+]
+
+
+class TestKrausAgainstComposite:
+    """The instrument's answers against the composite-space formulas, written out here."""
+
+    @pytest.mark.parametrize("model_fn", [fn for _, fn in KRAUS_MODELS],
+                             ids=[name for name, _ in KRAUS_MODELS])
+    def test_matches_composite_formulas(self, model_fn):
+        model = model_fn()
+        d, da = model.object_dim, model.apparatus_dim
+        dims = (d, da)
+        probes = {a: tensor(identity(d), model.probe_projection(a)) for a in model.outcomes()}
+        one_sigma = tensor(identity(d), model.sigma.matrix)
+        for a, eff in effects(model):
+            ref = partial_trace(dagger(model.u) @ probes[a] @ model.u @ one_sigma, dims, [0])
+            assert max_abs(eff - ref) <= TOL_OP
+        rng = np.random.default_rng(d * da)
+        for rho in spanning_states(d) + [random_density(rng, d) for _ in range(3)]:
+            comp = model.u @ tensor(rho.matrix, model.sigma.matrix) @ dagger(model.u)
+            dist = outcome_probability(model, rho)
+            for a, eb in probes.items():
+                p_ref = float(np.trace(eb @ comp).real)
+                assert abs(dist.probability(a) - p_ref) <= TOL_PROB
+                if p_ref > TOL_PROB:
+                    ref = partial_trace(eb @ comp, dims, [0]) / p_ref
+                    assert operator_deviation(state_reduction(model, rho, a), ref) <= TOL_OP
+            ref = partial_trace(comp, dims, [0])
+            assert operator_deviation(nonselective_state(model, rho), ref) <= TOL_OP
+
+
+def test_instrument_never_forms_the_composite_state(monkeypatch):
+    models = [random_indirect_model(3, 3, 4).model, _swap_full_rank()]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("composite-space path called")
+
+    monkeypatch.setattr(measurement, "tensor", forbidden)
+    monkeypatch.setattr(measurement, "partial_trace", forbidden)
+    monkeypatch.setattr(MeasurementModel, "composite_after", forbidden)
+    for model in models:
+        rho = random_density(RNG, model.object_dim)
+        assert len(effects(model)) == len(model.outcomes())
+        dist = outcome_probability(model, rho)
+        for a in model.outcomes():
+            if dist.probability(a) > TOL_PROB:
+                state_reduction(model, rho, a)
+        nonselective_state(model, rho)
