@@ -29,7 +29,11 @@ def as_matrix(m) -> np.ndarray:
 
 
 def max_abs(m) -> float:
-    """Max-entry norm ||m||_max."""
+    """Max-entry norm ||m||_max; 0.0 when empty, NaN when any entry is NaN.
+
+    Also the aggregator of nonnegative deviations: unlike the builtin max,
+    it keeps a NaN wherever it occurs, so a check over them fails.
+    """
     a = np.asarray(m)
     return float(np.max(np.abs(a))) if a.size else 0.0
 

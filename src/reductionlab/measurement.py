@@ -183,9 +183,7 @@ def effects(model: MeasurementModel) -> list[tuple[float, np.ndarray]]:
 
 def verify_measures(model: MeasurementModel) -> CheckReport:
     """Check effect(a) = E^A(a) for every outcome: the measuring condition."""
-    dev = max(
-        max_abs(eff - model.measured.projection(a)) for a, eff in effects(model)
-    )
+    dev = max_abs([max_abs(eff - model.measured.projection(a)) for a, eff in effects(model)])
     return CheckReport(passes=dev <= TOL_OP, max_deviation=dev)
 
 
@@ -277,8 +275,5 @@ def satisfies_projection_postulate(model: MeasurementModel) -> bool:
 
 def statistics_deviation(model: MeasurementModel, states) -> float:
     """Worst |outcome_probability - born_distribution(A, rho)| over the given states."""
-    worst = 0.0
-    for rho in states:
-        worst = max(worst, outcome_probability(model, rho).max_deviation(
-            born_distribution(model.measured, rho)))
-    return worst
+    return max_abs([outcome_probability(model, rho).max_deviation(
+        born_distribution(model.measured, rho)) for rho in states])

@@ -82,7 +82,7 @@ class Distribution:
         clean = {}
         for key, p in entries.items():
             p = float(p)
-            if p < -TOL_PROB or p > 1.0 + TOL_PROB:
+            if not -TOL_PROB <= p <= 1.0 + TOL_PROB:  # also rejects NaN
                 raise ValidationError(f"probability {p} for outcome {key} out of range")
             clean[tuple(map(float, key)) if isinstance(key, tuple) else float(key)] = p
             total += p

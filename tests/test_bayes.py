@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reductionlab.bayes import (
     EntangledScenario,
@@ -13,7 +15,16 @@ from reductionlab.bayes import (
     prior_state,
 )
 from reductionlab.errors import ValidationError, ZeroProbabilityError
-from reductionlab.linalg import TOL_OP, TOL_PROB, identity, max_abs, tensor
+from reductionlab.linalg import (
+    TOL_OP,
+    TOL_PROB,
+    dagger,
+    herm_expm,
+    identity,
+    max_abs,
+    permute_factors,
+    tensor,
+)
 from reductionlab.quantum import (
     DensityOperator,
     Observable,
@@ -29,6 +40,7 @@ from reductionlab.zoo import (
     PAULI_Z,
     cnot_qubit_model,
     controlled_shift_model,
+    random_indirect_model,
     random_observable,
     swap_replace_model,
 )
@@ -46,16 +58,25 @@ def random_hermitian(d, rng=RNG):
     return (g + g.conj().T) / 2
 
 
-def random_scenario(rng, d1, d2, a_obs=None):
+def random_scenario(rng, d1, d2, a_obs=None, x_outcomes=None, t=None, tau=None):
     return EntangledScenario(
         DensityOperator(random_density(rng, d1 * d2).matrix, dims=(d1, d2)),
         a_obs=a_obs if a_obs is not None else random_observable(rng, d1),
-        x_obs=random_observable(rng, d2),
+        x_obs=random_observable(rng, d2, n_outcomes=x_outcomes),
         h1=random_hermitian(d1, rng),
         h2=random_hermitian(d2, rng),
-        t=float(rng.uniform(0.1, 2.0)),
-        tau=float(rng.uniform(0.0, 2.0)),
+        t=float(rng.uniform(0.1, 2.0)) if t is None else t,
+        tau=float(rng.uniform(0.0, 2.0)) if tau is None else tau,
     )
+
+
+class TestScenario:
+    @pytest.mark.parametrize("t, tau", [(np.nan, 0.0), (0.0, np.nan), (np.inf, 0.0),
+                                        (0.0, np.inf), (-1.0, 0.0)])
+    def test_rejects_non_finite_or_negative_times(self, t, tau):
+        with pytest.raises(ValidationError):
+            EntangledScenario(bell_state(), Observable(PAULI_Z), Observable(PAULI_Z),
+                              t=t, tau=tau)
 
 
 class TestJointFormula:
@@ -148,6 +169,77 @@ class TestOracle:
                 dev = joint_distribution_formula(s).max_deviation(
                     joint_distribution_oracle(s, app))
                 assert dev < 1e-9
+
+
+def literal_oracle(s, app):
+    """The oracle at its most literal: U (x) 1 and both free evolutions as full
+    matrices, one herm_expm per evolution, and a full projection per (a, x)
+    read as Tr(P @ full)."""
+    model = app.model
+    d1, d2 = s.dims
+    da = model.apparatus_dim
+    full = permute_factors(tensor(s.rho12.matrix, model.sigma.matrix), (d1, d2, da), (0, 2, 1))
+    h_free = tensor(s.h1, identity(da), identity(d2)) + tensor(identity(d1), identity(da), s.h2)
+    u_t = herm_expm(h_free, s.t)
+    full = u_t @ full @ dagger(u_t)
+    u_int = tensor(model.u, identity(d2))
+    full = u_int @ full @ dagger(u_int)
+    u_tau = herm_expm(h_free, s.tau)
+    full = u_tau @ full @ dagger(u_tau)
+    entries = {}
+    for a in model.outcomes():
+        eb = model.probe_projection(a)
+        for x, ex in s.x_obs.spectrum:
+            proj = tensor(identity(d1), eb, ex)
+            entries[(a, x)] = float(np.trace(proj @ full).real)
+    return JointDistribution(entries)
+
+
+def _shift_apparatus(rng, d1):
+    return controlled_shift_model(random_observable(rng, d1, n_outcomes=d1), apparatus_dim=4).model
+
+
+def _indirect_apparatus(d_app):
+    return lambda rng, d1: random_indirect_model(int(rng.integers(1 << 30)), d1, d_app).model
+
+
+# (apparatus factory, d1, d2, X outcome count or None for a random one, t, tau)
+REFERENCE_CASES = {
+    "shift-d1-3-dapp-4": (_shift_apparatus, 3, 2, None, 0.8, 1.1),
+    "indirect-2-3-d2-2": (_indirect_apparatus(3), 2, 2, None, 1.3, 0.4),
+    "indirect-2-3-d2-4": (_indirect_apparatus(3), 2, 4, None, 0.6, 1.7),
+    "indirect-3-3-d2-2": (_indirect_apparatus(3), 3, 2, None, 1.9, 0.2),
+    "indirect-3-3-d2-4": (_indirect_apparatus(3), 3, 4, None, 0.3, 1.5),
+    "degenerate-x": (_indirect_apparatus(3), 2, 4, 2, 1.2, 0.9),
+    "t-zero": (_indirect_apparatus(3), 3, 2, None, 0.0, 1.4),
+    "tau-zero": (_indirect_apparatus(3), 2, 4, None, 1.6, 0.0),
+}
+
+
+class TestOracleAgainstLiteral:
+    @pytest.mark.parametrize("case", REFERENCE_CASES.values(), ids=REFERENCE_CASES.keys())
+    def test_matches_entry_by_entry(self, case):
+        make_apparatus, d1, d2, x_outcomes, t, tau = case
+        rng = np.random.default_rng(d1 * 100 + d2 * 10 + (x_outcomes or 0))
+        model = make_apparatus(rng, d1)
+        s = random_scenario(rng, d1, d2, model.measured, x_outcomes, t, tau)
+        if x_outcomes is not None:
+            assert len(s.x_obs.spectrum) < d2
+        app = LocalApparatusSpec(model, s.a_obs)
+        new, ref = joint_distribution_oracle(s, app), literal_oracle(s, app)
+        assert sorted(new.entries) == sorted(ref.entries)
+        for key, p in ref.entries.items():
+            assert abs(new.entries[key] - p) <= 1e-12, key
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d1=st.integers(2, 3), extra=st.integers(0, 1),
+           d2=st.integers(2, 4), t=st.floats(0.0, 2.0), tau=st.floats(0.0, 2.0))
+    def test_matches_formula(self, seed, d1, extra, d2, t, tau):
+        rng = np.random.default_rng(seed)
+        model = random_indirect_model(seed, d1, d1 + extra).model
+        s = random_scenario(rng, d1, d2, model.measured, t=t, tau=tau)
+        oracle = joint_distribution_oracle(s, LocalApparatusSpec(model, s.a_obs))
+        assert joint_distribution_formula(s).max_deviation(oracle) < TOL_OP
 
 
 class TestPriorState:

@@ -1,8 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+from reductionlab import checks
 from reductionlab.bayes import EntangledScenario
 from reductionlab.cli import main
 from reductionlab.modelio import (
@@ -213,6 +215,17 @@ class TestSweep:
 
     def test_bad_dims(self, capsys):
         assert main(["sweep", "--dims", "1,2"]) == 1
+
+    def test_nan_deviation_after_a_finite_one_fails(self, monkeypatch):
+        # max(1e-12, nan) is 1e-12: an aggregator built on it would read NaN as a pass
+        n = len(checks.SWEEP_CHECKS)
+        monkeypatch.setattr(checks, "_trial", lambda seed, d_obj, d_other:
+                            [1e-12 if seed == 0 else float("nan")] + [0.0] * (n - 1))
+        reports = checks.sweep(0, 2, [2, 3], 1e-9)
+        assert math.isnan(reports[0].max_deviation)
+        assert not reports[0].passed
+        assert all(r.passed for r in reports[1:])
+        assert main(["sweep", "--seed", "0", "--trials", "2", "--dims", "2,3"]) == 4
 
 
 class TestExportZoo:

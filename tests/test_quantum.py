@@ -55,6 +55,15 @@ class TestTypes:
         with pytest.raises(ValidationError):
             OutcomeDistribution({0.0: 0.3, 1.0: 0.3})
 
+    @pytest.mark.parametrize("entries", [
+        {0.0: np.nan, 1.0: np.nan},
+        {0.0: 1.0, 1.0: np.nan},
+        {0.0: np.inf, 1.0: 0.0},
+    ], ids=["all-nan", "one-nan", "inf"])
+    def test_distribution_rejects_non_finite(self, entries):
+        with pytest.raises(ValidationError):
+            OutcomeDistribution(entries)
+
 
 class TestBornDistribution:
     def test_eigenstate(self):
