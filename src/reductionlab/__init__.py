@@ -39,7 +39,6 @@ from .measurement import (
     mixture_identity_check,
     nonselective_state,
     outcome_probability,
-    projection_postulate_composite,
     satisfies_projection_postulate,
     state_reduction,
     state_reduction_sandwiched,
@@ -53,7 +52,6 @@ from .quantum import (
     evolve,
     ket,
     pure,
-    reduced_state,
     rule1_distribution,
 )
 from .zoo import (

@@ -88,11 +88,9 @@ class LocalApparatusSpec:
     def __init__(self, model: MeasurementModel, a_obs: Observable):
         if operator_deviation(model.measured.matrix, a_obs.matrix) > TOL_OP:
             raise ValidationError("apparatus model does not target the scenario's observable")
-        report = verify_measures(model)
-        if not report.passes:
-            raise ValidationError(
-                f"apparatus model fails the measuring condition (deviation {report.max_deviation})"
-            )
+        dev = verify_measures(model)
+        if not dev <= TOL_OP:  # also refuses a NaN deviation
+            raise ValidationError(f"apparatus model fails the measuring condition (deviation {dev})")
         self.model = model
 
 
@@ -218,9 +216,9 @@ def bayes_conditionals(j: JointDistribution) -> list[tuple[float, OutcomeDistrib
     return [(a, bayes_condition(j, a)) for a, p in j.marginal_a().entries.items() if p > TOL_PROB]
 
 
-def bayes_mixture_check(s: EntangledScenario) -> float:
-    """Max-entry deviation of the prior from the P(a)-weighted posterior mixture."""
-    joint = joint_distribution_formula(s)
+def bayes_mixture_check(s: EntangledScenario, joint: JointDistribution) -> float:
+    """Max-entry deviation of the prior from the P(a)-weighted posterior mixture;
+    P(a) is read from `joint`, the scenario's closed-form joint distribution."""
     marg = joint.marginal_a()
     mix = np.zeros((s.dims[1], s.dims[1]), dtype=complex)
     for a in s.a_obs.eigenvalues:

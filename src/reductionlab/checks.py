@@ -107,18 +107,18 @@ def _posterior_conditionals(scenario, formula, oracle) -> float:
 
 
 VERIFY_CHECKS = (
-    Check("measures", OPERATOR, lambda model, states: verify_measures(model).max_deviation),
+    Check("measures", OPERATOR, lambda model, states: verify_measures(model)),
     Check("povm", OPERATOR, _povm),
     Check("statistics", PROBABILITY, lambda model, states: statistics_deviation(model, states)),
     Check("reduction_equivalence", OPERATOR, _reduction_equivalence),
     Check("mixture_identity", OPERATOR, lambda model, states: max_abs(
-        [mixture_identity_check(model, rho).max_deviation for rho in states])),
+        [mixture_identity_check(model, rho) for rho in states])),
 )
 SWEEP_MODEL_CHECKS = VERIFY_CHECKS + (Check("affinity", OPERATOR, _affinity),)
 LOCAL_MEASUREMENT = Check("local_measurement_theorem", OPERATOR,
                           lambda scenario, formula, oracle: formula.max_deviation(oracle))
 BAYES_MIXTURE = Check("bayes_mixture", OPERATOR,
-                      lambda scenario, formula, oracle: bayes_mixture_check(scenario))
+                      lambda scenario, formula, oracle: bayes_mixture_check(scenario, formula))
 SCENARIO_CHECKS = (
     LOCAL_MEASUREMENT,
     BAYES_MIXTURE,
@@ -133,7 +133,8 @@ def verify(model, tol_op: float) -> tuple[list[Report], str]:
     reports = [check.run(tol_op, model, states) for check in VERIFY_CHECKS]
     if not reports[0].passed:  # the measuring condition
         return reports, "not-a-measurement-of-claimed-observable"
-    return reports, "projective" if satisfies_projection_postulate(model) else "non-projective"
+    projective = satisfies_projection_postulate(model, tol_op)
+    return reports, "projective" if projective else "non-projective"
 
 
 def _random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -68,11 +68,13 @@ def _fmt(x: float) -> str:
 def _print_reports(reports: list[checks.Report], as_json: bool, extra: dict):
     if as_json:
         doc = dict(extra)
-        # timing excluded: fixed seeds must reproduce byte-identical JSON
-        doc["checks"] = [{"name": r.name, "pass": r.passed, "max_deviation": r.max_deviation,
+        # timing excluded: fixed seeds must reproduce byte-identical JSON;
+        # a NaN or infinite deviation is written as null, since strict JSON has no such number
+        doc["checks"] = [{"name": r.name, "pass": r.passed,
+                          "max_deviation": r.max_deviation if math.isfinite(r.max_deviation) else None,
                           "tolerance": r.tolerance} for r in reports]
         doc["ok"] = all(r.passed for r in reports)
-        json.dump(doc, sys.stdout, indent=1)
+        json.dump(doc, sys.stdout, indent=1, allow_nan=False)
         sys.stdout.write("\n")
     else:
         for r in reports:

@@ -56,18 +56,6 @@ def is_unitary(m, tol: float = TOL_OP) -> bool:
     return max_abs(a @ dagger(a) - identity(a.shape[0])) <= tol
 
 
-def is_positive_semidefinite(m, tol: float = TOL_OP) -> bool:
-    a = as_matrix(m)
-    if not is_hermitian(a, tol):
-        return False
-    return float(np.min(np.linalg.eigvalsh(a))) >= -tol
-
-
-def is_projection(m, tol: float = TOL_OP) -> bool:
-    a = as_matrix(m)
-    return is_hermitian(a, tol) and max_abs(a @ a - a) <= tol
-
-
 def tensor(*factors) -> np.ndarray:
     """Kronecker product, left factor major: entry ((i1,i2),(j1,j2)) = a[i1,j1]*b[i2,j2]."""
     if not factors:

@@ -1,5 +1,5 @@
-"""Physical-layer objects: observables, density operators, Born statistics,
-unitary evolution, and reduced states."""
+"""Physical-layer objects: observables, density operators, Born statistics
+and unitary evolution."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from .linalg import (
     herm_expm,
     is_hermitian,
     max_abs,
-    partial_trace,
     spectral_decompose,
 )
 
@@ -149,16 +148,6 @@ def evolve(rho: DensityOperator, h, tau: float) -> DensityOperator:
 def rule1_distribution(rho: DensityOperator, h, x: Observable, tau: float) -> OutcomeDistribution:
     """Outcome distribution of measuring x after free evolution under h for time tau."""
     return born_distribution(x, evolve(rho, h, tau))
-
-
-def reduced_state(rho: DensityOperator, keep, dims=None) -> DensityOperator:
-    """Partial trace down to the kept tensor factors."""
-    d = dims if dims is not None else rho.dims
-    if d is None:
-        raise DimensionMismatchError("reduced_state needs a tensor-factor annotation")
-    keep = sorted(set(int(k) for k in keep))
-    sub = partial_trace(rho.matrix, d, keep)
-    return DensityOperator(sub, dims=tuple(d[k] for k in keep))
 
 
 def operator_deviation(a, b) -> float:

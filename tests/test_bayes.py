@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reductionlab import bayes, checks
 from reductionlab.bayes import (
     EntangledScenario,
     JointDistribution,
@@ -331,20 +332,33 @@ class TestBayesCondition:
 class TestBayesMixture:
     def test_bell(self):
         s = EntangledScenario(bell_state(), Observable(PAULI_Z), Observable(PAULI_Z))
-        assert bayes_mixture_check(s) < 1e-10
+        assert bayes_mixture_check(s, joint_distribution_formula(s)) < 1e-10
 
     def test_product(self):
         rho1, rho2 = random_density(RNG, 2), random_density(RNG, 2)
         s = EntangledScenario(
             DensityOperator(tensor(rho1.matrix, rho2.matrix), dims=(2, 2)),
             Observable(PAULI_Z), Observable(PAULI_X))
-        assert bayes_mixture_check(s) < 1e-12
+        assert bayes_mixture_check(s, joint_distribution_formula(s)) < 1e-12
 
     def test_random_sweep(self):
         for i in range(30):
             rng = np.random.default_rng(9000 + i)
             s = random_scenario(rng, 2 + i % 2, 2 + (i + 1) % 3)
-            assert bayes_mixture_check(s) < 1e-9
+            assert bayes_mixture_check(s, joint_distribution_formula(s)) < 1e-9
+
+    def test_sweep_trial_computes_the_formula_once(self, monkeypatch):
+        calls = []
+
+        def counted(s):
+            calls.append(s)
+            return joint_distribution_formula(s)
+
+        monkeypatch.setattr(bayes, "joint_distribution_formula", counted)
+        monkeypatch.setattr(checks, "joint_distribution_formula", counted)
+        devs = checks._trial(3, 2, 3)
+        assert len(calls) == 1
+        assert max(devs) < TOL_OP
 
     def test_posterior_unitary_evolution(self):
         # posterior evolved by h2 for tau reproduces the delayed conditionals

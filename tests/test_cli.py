@@ -15,6 +15,8 @@ from reductionlab.modelio import (
     scenario_to_dict,
 )
 from reductionlab.errors import ParseError, ValidationError
+from reductionlab.linalg import herm_expm, identity, tensor
+from reductionlab.measurement import MeasurementModel
 from reductionlab.quantum import DensityOperator, Observable, operator_deviation
 from reductionlab.zoo import PAULI_X, PAULI_Z, cnot_qubit_model, standard_entries
 
@@ -216,7 +218,7 @@ class TestSweep:
     def test_bad_dims(self, capsys):
         assert main(["sweep", "--dims", "1,2"]) == 1
 
-    def test_nan_deviation_after_a_finite_one_fails(self, monkeypatch):
+    def test_nan_deviation_after_a_finite_one_fails(self, monkeypatch, capsys):
         # max(1e-12, nan) is 1e-12: an aggregator built on it would read NaN as a pass
         n = len(checks.SWEEP_CHECKS)
         monkeypatch.setattr(checks, "_trial", lambda seed, d_obj, d_other:
@@ -226,6 +228,16 @@ class TestSweep:
         assert not reports[0].passed
         assert all(r.passed for r in reports[1:])
         assert main(["sweep", "--seed", "0", "--trials", "2", "--dims", "2,3"]) == 4
+        capsys.readouterr()
+        assert main(["sweep", "--seed", "0", "--trials", "2", "--dims", "2,3", "--json"]) == 4
+
+        def strict(token):
+            raise ValueError(f"not a JSON number: {token}")
+
+        doc = json.loads(capsys.readouterr().out, parse_constant=strict)
+        assert doc["checks"][0]["max_deviation"] is None
+        assert doc["checks"][0]["pass"] is False
+        assert not doc["ok"]
 
 
 class TestExportZoo:
@@ -287,3 +299,21 @@ class TestToleranceOverride:
         tolerances = {c["name"]: c["tolerance"] for c in doc["checks"]}
         assert tolerances.pop("statistics") == tolerances.pop("posterior_conditionals") == 1e-10
         assert list(tolerances.values()) == [1e-3] * 7
+
+    @pytest.mark.parametrize("flags, classification, failed", [
+        ([], "not-a-measurement-of-claimed-observable", ["measures", "statistics"]),
+        (["--tolerance", "1e-3"], "projective", ["statistics"]),
+    ])
+    def test_flag_judges_the_classification(self, tmp_path, capsys, flags, classification,
+                                            failed):
+        # CNOT with U replaced by U exp(-i 1e-6 X (x) 1): measuring deviation 1e-6.
+        # Its Born statistics are 1e-6 off, so `statistics` fails at TOL_PROB at any flag.
+        cnot = cnot_qubit_model().model
+        near = MeasurementModel(cnot.sigma, cnot.u @ herm_expm(tensor(PAULI_X, identity(2)), 1e-6),
+                                cnot.probe, cnot.measured)
+        path = tmp_path / "near_cnot.json"
+        save_json(str(path), model_to_dict(near))
+        assert main(["verify", str(path), "--json"] + flags) == 4
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["classification"] == classification
+        assert [c["name"] for c in doc["checks"] if not c["pass"]] == failed

@@ -7,8 +7,6 @@ from reductionlab.linalg import (
     herm_expm,
     identity,
     is_hermitian,
-    is_positive_semidefinite,
-    is_projection,
     is_unitary,
     max_abs,
     partial_trace,
@@ -38,14 +36,6 @@ class TestPredicates:
         h = random_hermitian(4)
         assert is_unitary(herm_expm(h, 0.9))
         assert not is_unitary(2 * identity(3))
-
-    def test_psd_and_projection(self):
-        g = random_complex(3)
-        assert is_positive_semidefinite(g @ g.conj().T)
-        assert not is_positive_semidefinite(-identity(2))
-        p = np.array([[1, 0], [0, 0]], dtype=complex)
-        assert is_projection(p)
-        assert not is_projection(0.5 * p)
 
 
 class TestTensor:

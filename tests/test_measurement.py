@@ -3,14 +3,14 @@ import pytest
 
 from reductionlab import measurement
 from reductionlab.errors import ValidationError, ZeroProbabilityError
-from reductionlab.linalg import TOL_OP, TOL_PROB, dagger, identity, max_abs, partial_trace, tensor
+from reductionlab.linalg import (TOL_OP, TOL_PROB, dagger, herm_expm, identity, max_abs,
+                                partial_trace, tensor)
 from reductionlab.measurement import (
     MeasurementModel,
     effects,
     mixture_identity_check,
     nonselective_state,
     outcome_probability,
-    projection_postulate_composite,
     satisfies_projection_postulate,
     state_reduction,
     state_reduction_sandwiched,
@@ -31,6 +31,7 @@ from reductionlab.zoo import (
     PAULI_X,
     PAULI_Z,
     cnot_qubit_model,
+    controlled_shift_model,
     random_indirect_model,
     random_observable,
     standard_entries,
@@ -91,17 +92,16 @@ class TestEffects:
 
 class TestVerifyMeasures:
     def test_cnot_passes(self):
-        report = verify_measures(CNOT)
-        assert report.passes and report.max_deviation < TOL_OP
+        assert verify_measures(CNOT) < TOL_OP
 
     def test_wrong_claim_fails(self):
         wrong = MeasurementModel(CNOT.sigma, CNOT.u, CNOT.probe, Observable(PAULI_X))
-        report = verify_measures(wrong)
-        assert not report.passes
-        assert report.max_deviation == pytest.approx(0.5, abs=1e-12)
+        dev = verify_measures(wrong)
+        assert not dev <= TOL_OP
+        assert dev == pytest.approx(0.5, abs=1e-12)
 
     def test_identity_model_fails(self):
-        assert not verify_measures(identity_model()).passes
+        assert not verify_measures(identity_model()) <= TOL_OP
 
 
 class TestOutcomeProbability:
@@ -191,34 +191,51 @@ class TestStateReduction:
 
 class TestMixtureIdentity:
     def test_cnot_plus(self):
-        assert mixture_identity_check(CNOT, pure(KET_PLUS)).max_deviation < 1e-10
+        assert mixture_identity_check(CNOT, pure(KET_PLUS)) < 1e-10
 
     def test_identity_model_trivial(self):
         rho = random_density(RNG, 2)
-        assert mixture_identity_check(identity_model(), rho).max_deviation < 1e-12
+        assert mixture_identity_check(identity_model(), rho) < 1e-12
 
     def test_random_models_and_states(self):
         for i in range(50):
             model = random_indirect_model(100 + i, 2 + i % 2, 3).model
             rho = random_density(RNG, model.object_dim)
-            assert mixture_identity_check(model, rho).max_deviation < 1e-9
+            assert mixture_identity_check(model, rho) < 1e-9
 
 
-class TestProjectionPostulateComposite:
-    def test_partial_trace_matches_reduction(self):
-        rho = pure(KET_PLUS)
-        comp = projection_postulate_composite(CNOT, rho, 1.0)
-        red = partial_trace(comp.matrix, (2, 2), [0])
-        assert max_abs(red - state_reduction(CNOT, rho, 1.0).matrix) < 1e-12
+DEGENERATE_SHIFT = controlled_shift_model(Observable(np.diag([0.0, 0.0, 1.0]))).model
 
-    def test_eigenstate_gives_product_state(self):
-        comp = projection_postulate_composite(CNOT, pure(KET_0), 1.0)
-        expected = np.kron(pure(KET_0).matrix, pure(KET_0).matrix)
-        assert max_abs(comp.matrix - expected) < 1e-12
 
-    def test_normalized(self):
-        comp = projection_postulate_composite(CNOT, pure(KET_PLUS), -1.0)
-        assert np.trace(comp.matrix).real == pytest.approx(1.0, abs=1e-12)
+def degenerate_not_lueders():
+    """DEGENERATE_SHIFT with U replaced by (V (x) 1) U, where V swaps |0> and |1> inside the
+    0-eigenspace: the effects are unchanged, the reduction becomes V E rho E V^dag / P."""
+    m = DEGENERATE_SHIFT
+    v = identity(3)[[1, 0, 2]]
+    return MeasurementModel(m.sigma, tensor(v, identity(m.apparatus_dim)) @ m.u, m.probe,
+                            m.measured)
+
+
+def sampled_lueders(model) -> bool:
+    """Reference: rho_a = E^A(a) rho E^A(a) / P(a) on the spanning states and 50 random ones."""
+    rng = np.random.default_rng(7)
+    states = spanning_states(model.object_dim)
+    states += [random_density(rng, model.object_dim) for _ in range(50)]
+    for rho in states:
+        for a in model.outcomes():
+            ea = model.measured.projection(a)
+            p = float(np.trace(ea @ rho.matrix).real)
+            if p > TOL_PROB and operator_deviation(
+                    state_reduction(model, rho, a), ea @ rho.matrix @ ea / p) > TOL_OP:
+                return False
+    return True
+
+
+CLASSIFIED_MODELS = [(e.name, lambda e=e: e.model) for e in standard_entries()] + [
+    ("random_indirect_3x4", lambda: random_indirect_model(3, 3, 4).model),
+    ("random_indirect_4x5", lambda: random_indirect_model(5, 4, 5).model),
+    ("degenerate_not_lueders", degenerate_not_lueders),
+]
 
 
 class TestProjectionPostulateClassification:
@@ -241,6 +258,30 @@ class TestProjectionPostulateClassification:
     def test_requires_verified_model(self):
         with pytest.raises(ValidationError):
             satisfies_projection_postulate(identity_model())
+
+    def test_degenerate_exact_measurement_that_is_not_lueders(self):
+        model = degenerate_not_lueders()
+        for (_, eff), (_, shift_eff) in zip(effects(model), effects(DEGENERATE_SHIFT)):
+            assert max_abs(eff - shift_eff) <= TOL_OP
+        assert verify_measures(model) <= TOL_OP
+        assert satisfies_projection_postulate(DEGENERATE_SHIFT)
+        assert not satisfies_projection_postulate(model)
+
+    def test_tolerance_also_judges_the_measuring_condition(self):
+        # CNOT with U replaced by U exp(-i 1e-6 X (x) 1)
+        near = MeasurementModel(CNOT.sigma, CNOT.u @ herm_expm(tensor(PAULI_X, identity(2)), 1e-6),
+                                CNOT.probe, CNOT.measured)
+        assert verify_measures(near) == pytest.approx(1e-6, rel=1e-6)
+        with pytest.raises(ValidationError):
+            satisfies_projection_postulate(near)
+        assert satisfies_projection_postulate(near, tol=1e-3)
+        assert not satisfies_projection_postulate(SWAP_PLUS, tol=1e-3)
+
+    @pytest.mark.parametrize("model_fn", [fn for _, fn in CLASSIFIED_MODELS],
+                             ids=[name for name, _ in CLASSIFIED_MODELS])
+    def test_agrees_with_lueders_on_sampled_states(self, model_fn):
+        model = model_fn()
+        assert satisfies_projection_postulate(model) == sampled_lueders(model)
 
 
 class TestSpanningSetConsistency:
