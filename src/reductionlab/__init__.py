@@ -39,6 +39,7 @@ from .measurement import (
     mixture_identity_check,
     nonselective_state,
     outcome_probability,
+    reductions,
     satisfies_projection_postulate,
     state_reduction,
     state_reduction_sandwiched,

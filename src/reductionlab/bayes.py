@@ -219,10 +219,6 @@ def bayes_conditionals(j: JointDistribution) -> list[tuple[float, OutcomeDistrib
 def bayes_mixture_check(s: EntangledScenario, joint: JointDistribution) -> float:
     """Max-entry deviation of the prior from the P(a)-weighted posterior mixture;
     P(a) is read from `joint`, the scenario's closed-form joint distribution."""
-    marg = joint.marginal_a()
-    mix = np.zeros((s.dims[1], s.dims[1]), dtype=complex)
-    for a in s.a_obs.eigenvalues:
-        p = marg.probability(a)
-        if p > TOL_PROB:
-            mix += p * posterior_state(s, a).matrix
+    mix = sum(p * posterior_state(s, a).matrix
+              for a, p in joint.marginal_a().entries.items() if p > TOL_PROB)
     return operator_deviation(prior_state(s), mix)

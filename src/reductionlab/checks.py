@@ -1,9 +1,11 @@
 """The paper's invariants as one table of named checks, shared by `verify` and `sweep`.
 
 A check maps its inputs to a max deviation: model checks take (model,
-states), scenario checks take (scenario, formula, oracle), the scenario and
-its closed-form and apparatus-level joint distributions. OPERATOR checks are
-judged by the caller's operator tolerance, PROBABILITY checks by TOL_PROB.
+evaluated), each state paired with its `measurement.reductions`, computed
+once before any check runs and so outside every check's time; scenario
+checks take (scenario, formula, oracle), the scenario and its closed-form
+and apparatus-level joint distributions. OPERATOR checks are judged by the
+caller's operator tolerance, PROBABILITY checks by TOL_PROB.
 Check functions look library names up when they run, so a caller that
 replaces a module attribute (a tracer, a test double) sees every call.
 """
@@ -19,9 +21,9 @@ from .bayes import (EntangledScenario, LocalApparatusSpec, bayes_conditionals,
                     bayes_mixture_check, joint_distribution_formula, joint_distribution_oracle,
                     posterior_state)
 from .linalg import TOL_PROB, dagger, identity, max_abs
-from .measurement import (effects, mixture_identity_check, outcome_probability,
-                          satisfies_projection_postulate, state_reduction,
-                          state_reduction_sandwiched, statistics_deviation, verify_measures)
+from .measurement import (effects, mixture_identity_check, reductions,
+                          satisfies_projection_postulate, state_reduction_sandwiched,
+                          statistics_deviation, verify_measures)
 from .quantum import (DensityOperator, operator_deviation, random_density, rule1_distribution,
                       spanning_states)
 from .zoo import random_indirect_model, random_observable
@@ -55,7 +57,7 @@ class Check(NamedTuple):
         return self.report(deviation, tol_op, (time.perf_counter() - start) * 1e3)
 
 
-def _povm(model, states) -> float:
+def _povm(model, evaluated) -> float:
     """Worst non-Hermiticity and negativity of an effect, or gap of their sum to 1."""
     total = np.zeros((model.object_dim, model.object_dim), dtype=complex)
     devs = []
@@ -66,34 +68,21 @@ def _povm(model, states) -> float:
     return max_abs(devs + [max_abs(total - identity(model.object_dim))])
 
 
-def _reduction_equivalence(model, states) -> float:
-    """Kraus-form reduction against the composite-space sandwiched oracle, over
-    outcomes with P(a) > TOL_PROB."""
-    dist_cache = [(rho, outcome_probability(model, rho)) for rho in states]
-    devs = []
-    for rho, dist in dist_cache:
-        for a in model.outcomes():
-            if dist.probability(a) > TOL_PROB:
-                devs.append(operator_deviation(
-                    state_reduction(model, rho, a),
-                    state_reduction_sandwiched(model, rho, a)))
-    return max_abs(devs)
+def _reduction_equivalence(model, evaluated) -> float:
+    """Kraus-form reductions against the composite-space sandwiched oracle."""
+    return max_abs([operator_deviation(rho_a, state_reduction_sandwiched(model, rho, a))
+                    for rho, reduced in evaluated for a, _, rho_a in reduced])
 
 
-def _affinity(model, states) -> float:
+def _affinity(model, evaluated) -> float:
     """Affinity of the unnormalized reduction P(a) rho_a on a mixture of the first two states."""
-    rho1, rho2 = states[0], states[1]
+    (rho1, reduced1), (rho2, reduced2) = evaluated[:2]
     lam = 0.3
     mix = DensityOperator(lam * rho1.matrix + (1 - lam) * rho2.matrix)
-    devs = []
-    for a in model.outcomes():
-        parts = []
-        for rho in (mix, rho1, rho2):
-            p = outcome_probability(model, rho).probability(a)
-            parts.append(p * state_reduction(model, rho, a).matrix if p > TOL_PROB
-                         else np.zeros((model.object_dim, model.object_dim), dtype=complex))
-        devs.append(max_abs(parts[0] - lam * parts[1] - (1 - lam) * parts[2]))
-    return max_abs(devs)
+    mixed, first, second = ({a: p * rho_a.matrix for a, p, rho_a in reduced}
+                            for reduced in (reductions(model, mix), reduced1, reduced2))
+    return max_abs([max_abs(mixed.get(a, 0.0) - lam * first.get(a, 0.0)
+                            - (1 - lam) * second.get(a, 0.0)) for a in model.outcomes()])
 
 
 def _posterior_conditionals(scenario, formula, oracle) -> float:
@@ -107,12 +96,13 @@ def _posterior_conditionals(scenario, formula, oracle) -> float:
 
 
 VERIFY_CHECKS = (
-    Check("measures", OPERATOR, lambda model, states: verify_measures(model)),
+    Check("measures", OPERATOR, lambda model, evaluated: verify_measures(model)),
     Check("povm", OPERATOR, _povm),
-    Check("statistics", PROBABILITY, lambda model, states: statistics_deviation(model, states)),
+    Check("statistics", PROBABILITY, lambda model, evaluated: statistics_deviation(
+        model, [rho for rho, _ in evaluated])),
     Check("reduction_equivalence", OPERATOR, _reduction_equivalence),
-    Check("mixture_identity", OPERATOR, lambda model, states: max_abs(
-        [mixture_identity_check(model, rho) for rho in states])),
+    Check("mixture_identity", OPERATOR, lambda model, evaluated: max_abs(
+        [mixture_identity_check(model, rho, reduced) for rho, reduced in evaluated])),
 )
 SWEEP_MODEL_CHECKS = VERIFY_CHECKS + (Check("affinity", OPERATOR, _affinity),)
 LOCAL_MEASUREMENT = Check("local_measurement_theorem", OPERATOR,
@@ -128,9 +118,9 @@ SWEEP_CHECKS = SWEEP_MODEL_CHECKS + SCENARIO_CHECKS
 
 
 def verify(model, tol_op: float) -> tuple[list[Report], str]:
-    """Timed verify checks on the spanning states, and the model's classification."""
-    states = spanning_states(model.object_dim)
-    reports = [check.run(tol_op, model, states) for check in VERIFY_CHECKS]
+    """Timed verify checks on the reduced spanning states, and the model's classification."""
+    evaluated = [(rho, reductions(model, rho)) for rho in spanning_states(model.object_dim)]
+    reports = [check.run(tol_op, model, evaluated) for check in VERIFY_CHECKS]
     if not reports[0].passed:  # the measuring condition
         return reports, "not-a-measurement-of-claimed-observable"
     projective = satisfies_projection_postulate(model, tol_op)
@@ -148,7 +138,8 @@ def _trial(seed: int, d_obj: int, d_other: int) -> list[float]:
     rng = np.random.default_rng(seed)
     model = random_indirect_model(seed, d_obj, d_obj + int(rng.integers(0, 2))).model
     states = [random_density(rng, d_obj) for _ in range(10)]
-    devs = [check.fn(model, states) for check in SWEEP_MODEL_CHECKS]
+    evaluated = [(rho, reductions(model, rho)) for rho in states]
+    devs = [check.fn(model, evaluated) for check in SWEEP_MODEL_CHECKS]
     rho12 = random_density(rng, d_obj * d_other)
     scenario = EntangledScenario(
         DensityOperator(rho12.matrix, dims=(d_obj, d_other)),

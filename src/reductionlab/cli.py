@@ -65,17 +65,24 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _deviation(x: float) -> float | None:
+    return x if math.isfinite(x) else None  # null: strict JSON has no NaN or infinity
+
+
+def _dump(doc: dict):
+    json.dump(doc, sys.stdout, indent=1, allow_nan=False)
+    sys.stdout.write("\n")
+
+
 def _print_reports(reports: list[checks.Report], as_json: bool, extra: dict):
     if as_json:
         doc = dict(extra)
-        # timing excluded: fixed seeds must reproduce byte-identical JSON;
-        # a NaN or infinite deviation is written as null, since strict JSON has no such number
+        # timing excluded: fixed seeds must reproduce byte-identical JSON
         doc["checks"] = [{"name": r.name, "pass": r.passed,
-                          "max_deviation": r.max_deviation if math.isfinite(r.max_deviation) else None,
+                          "max_deviation": _deviation(r.max_deviation),
                           "tolerance": r.tolerance} for r in reports]
         doc["ok"] = all(r.passed for r in reports)
-        json.dump(doc, sys.stdout, indent=1, allow_nan=False)
-        sys.stdout.write("\n")
+        _dump(doc)
     else:
         for r in reports:
             status = "PASS" if r.passed else "FAIL"
@@ -124,9 +131,7 @@ def cmd_reduce(args) -> int:
         raise ValidationError(f"outcome {args.outcome} is not in the spectrum {model.outcomes()}")
     p = outcome_probability(model, rho).probability(args.outcome)
     reduced = state_reduction(model, rho, args.outcome)
-    json.dump({"probability": p, "matrix": matrix_to_pairs(reduced.matrix)},
-              sys.stdout, indent=1)
-    sys.stdout.write("\n")
+    _dump({"probability": p, "matrix": matrix_to_pairs(reduced.matrix)})
     return EXIT_OK
 
 
@@ -143,7 +148,7 @@ def cmd_entangled(args) -> int:
         oracle = joint_distribution_oracle(scenario, apparatus)
         report = checks.LOCAL_MEASUREMENT.run(args.tolerance, scenario, formula, oracle)
         doc["joint_oracle"] = _joint_to_list(oracle)
-        doc["formula_oracle_deviation"] = report.max_deviation
+        doc["formula_oracle_deviation"] = _deviation(report.max_deviation)
         ok = report.passed
     doc["prior"] = matrix_to_pairs(prior_state(scenario).matrix)
     marg_x = formula.marginal_x()
@@ -153,18 +158,17 @@ def cmd_entangled(args) -> int:
     independent = not any(cond.max_deviation(marg_x) > TOL_PROB for _, cond in conditionals)
     doc["independent"] = independent
     mixture = checks.BAYES_MIXTURE.run(args.tolerance, scenario, formula, None)
-    doc["bayes_mixture_deviation"] = mixture.max_deviation
+    doc["bayes_mixture_deviation"] = _deviation(mixture.max_deviation)
     ok = ok and mixture.passed
     doc["ok"] = ok
     if args.json:
-        json.dump(doc, sys.stdout, indent=1)
-        sys.stdout.write("\n")
+        _dump(doc)
     else:
         print("joint (formula):")
         for a, x, p in doc["joint_formula"]:
             print(f"  A={_fmt(a)} X={_fmt(x)}  {_fmt(p)}")
-        if "formula_oracle_deviation" in doc:
-            print(f"formula vs oracle deviation: {_fmt(doc['formula_oracle_deviation'])}")
+        if apparatus is not None:
+            print(f"formula vs oracle deviation: {_fmt(report.max_deviation)}")
         print(f"independent: {independent}")
         print(f"bayes mixture deviation: {_fmt(mixture.max_deviation)}")
         print("ok" if ok else "FAILED")

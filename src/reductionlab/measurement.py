@@ -20,6 +20,8 @@ their Choi matrices are, so the test compares, for every outcome,
 J_a = sum_n vec(M_an) vec(M_an)^dag with vec(E^A(a)) vec(E^A(a))^dag in the
 max-entry norm at the operator tolerance: no seed and no set of states.
 
+`reductions(model, rho)` is the state reduction of rho, computed once per
+state: (a, P(a), rho_a) for each outcome with P(a) > TOL_PROB.
 The checks here return deviations; `reductionlab.checks` judges them.
 """
 
@@ -220,14 +222,16 @@ def state_reduction_sandwiched(model: MeasurementModel, rho: DensityOperator,
     return DensityOperator(partial_trace(comp, (model.object_dim, model.apparatus_dim), [0]) / p)
 
 
-def mixture_identity_check(model: MeasurementModel, rho: DensityOperator) -> float:
-    """Deviation of rho' from sum_a P(a) rho_a over outcomes with P(a) > TOL_PROB."""
+def reductions(model: MeasurementModel,
+               rho: DensityOperator) -> list[tuple[float, float, DensityOperator]]:
+    """[(a, P(a), rho_a)] for every outcome with P(a) > TOL_PROB, in outcome order."""
     dist = outcome_probability(model, rho)
-    mix = np.zeros((model.object_dim, model.object_dim), dtype=complex)
-    for a in model.outcomes():
-        p = dist.probability(a)
-        if p > TOL_PROB:
-            mix += p * state_reduction(model, rho, a).matrix
+    return [(a, p, state_reduction(model, rho, a)) for a, p in dist.entries.items() if p > TOL_PROB]
+
+
+def mixture_identity_check(model: MeasurementModel, rho: DensityOperator, reduced) -> float:
+    """Deviation of rho' from sum_a P(a) rho_a, summed over `reduced` = reductions(model, rho)."""
+    mix = sum(p * rho_a.matrix for _, p, rho_a in reduced)
     return operator_deviation(nonselective_state(model, rho), mix)
 
 

@@ -28,6 +28,8 @@ class Observable:
             raise ValidationError("observable matrix must be Hermitian")
         self.matrix = m
         self.spectrum = spectral_decompose(m)
+        if not all(np.isfinite(a) for a in self.eigenvalues):  # eigh overflows near the float limit
+            raise ValidationError(f"observable has a non-finite eigenvalue: {self.eigenvalues}")
 
     @property
     def dim(self) -> int:

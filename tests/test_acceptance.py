@@ -23,6 +23,7 @@ from reductionlab.measurement import (
     effects,
     mixture_identity_check,
     outcome_probability,
+    reductions,
     satisfies_projection_postulate,
     state_reduction,
     state_reduction_sandwiched,
@@ -102,7 +103,8 @@ def test_criterion_4_mixture_identity():
     worst = 0.0
     for entry in ENTRIES:
         for rho in _random_states(23, entry.model.object_dim):
-            worst = max(worst, mixture_identity_check(entry.model, rho))
+            reduced = reductions(entry.model, rho)
+            worst = max(worst, mixture_identity_check(entry.model, rho, reduced))
     _report("4 mixture identity", worst, 1e-9)
 
 

@@ -1,8 +1,14 @@
+import contextlib
+import copy
+import io
 import json
 import math
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reductionlab import checks
 from reductionlab.bayes import EntangledScenario
@@ -21,6 +27,14 @@ from reductionlab.quantum import DensityOperator, Observable, operator_deviation
 from reductionlab.zoo import PAULI_X, PAULI_Z, cnot_qubit_model, standard_entries
 
 
+def strict_json(text: str):
+    """json.loads that refuses NaN and Infinity, which strict JSON does not have."""
+    def refuse(token):
+        raise ValueError(f"not a JSON number: {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 @pytest.fixture
 def cnot_path(tmp_path):
     path = tmp_path / "cnot.json"
@@ -28,14 +42,18 @@ def cnot_path(tmp_path):
     return str(path)
 
 
-@pytest.fixture
-def bell_scenario_path(tmp_path):
+def bell_scenario_doc() -> dict:
     phi = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
     s = EntangledScenario(
         DensityOperator(np.outer(phi, phi), dims=(2, 2)),
         Observable(PAULI_Z), Observable(PAULI_Z))
+    return scenario_to_dict(s, apparatus=cnot_qubit_model().model)
+
+
+@pytest.fixture
+def bell_scenario_path(tmp_path):
     path = tmp_path / "bell.json"
-    save_json(str(path), scenario_to_dict(s, apparatus=cnot_qubit_model().model))
+    save_json(str(path), bell_scenario_doc())
     return str(path)
 
 
@@ -141,6 +159,25 @@ class TestExitCodes:
         assert main(["verify", str(bad)]) == 4
         assert "unitary" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, huge, dropped, named", [
+        ("entangled", ["x_matrix"], None, "x_matrix"),
+        ("entangled", ["a_matrix"], "apparatus", "a_matrix"),
+        ("verify", ["a_matrix", "b_matrix"], None, "b_matrix"),
+    ])
+    def test_infinite_eigenvalue(self, cnot_path, bell_scenario_path, capsys,
+                                 command, huge, dropped, named):
+        # finite entries whose spectrum overflows: the eigenvalues are 0 and 2e308 = inf
+        path = bell_scenario_path if command == "entangled" else cnot_path
+        doc = load_json(path)
+        doc.pop(dropped, None)
+        for field in huge:
+            doc[field] = [[1e308, 0.0]] * 4
+        save_json(path, doc)
+        assert main([command, path, "--json"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{named}: observable has a non-finite eigenvalue" in captured.err
+
     def test_zero_probability(self, cnot_path, capsys):
         assert main(["reduce", cnot_path, "--state", "0", "--outcome", "-1"]) == 5
 
@@ -179,6 +216,15 @@ class TestEntangled:
         assert joint[(1.0, 1.0)] == pytest.approx(0.5)
         assert joint[(1.0, -1.0)] == pytest.approx(0.0, abs=1e-12)
         assert not doc["independent"]
+
+    def test_nan_deviation_is_written_as_null(self, bell_scenario_path, monkeypatch, capsys):
+        monkeypatch.setattr(checks, "BAYES_MIXTURE", checks.Check(
+            "bayes_mixture", checks.OPERATOR, lambda scenario, formula, oracle: float("nan")))
+        assert main(["entangled", bell_scenario_path, "--json"]) == 4
+        doc = strict_json(capsys.readouterr().out)
+        assert doc["bayes_mixture_deviation"] is None
+        assert doc["formula_oracle_deviation"] < 1e-9
+        assert doc["ok"] is False
 
     def test_product_scenario_flagged_independent(self, tmp_path, capsys):
         rho = DensityOperator(np.diag([0.25] * 4), dims=(2, 2))
@@ -230,14 +276,58 @@ class TestSweep:
         assert main(["sweep", "--seed", "0", "--trials", "2", "--dims", "2,3"]) == 4
         capsys.readouterr()
         assert main(["sweep", "--seed", "0", "--trials", "2", "--dims", "2,3", "--json"]) == 4
-
-        def strict(token):
-            raise ValueError(f"not a JSON number: {token}")
-
-        doc = json.loads(capsys.readouterr().out, parse_constant=strict)
+        doc = strict_json(capsys.readouterr().out)
         assert doc["checks"][0]["max_deviation"] is None
         assert doc["checks"][0]["pass"] is False
         assert not doc["ok"]
+
+
+MODEL_FIELDS = ("sigma", "u", "a_matrix", "b_matrix", "object_hamiltonian")
+FUZZ_TARGETS = (
+    [("verify", model_to_dict(cnot_qubit_model().model), (field,)) for field in MODEL_FIELDS]
+    + [("entangled", bell_scenario_doc(), (field,))
+       for field in ("rho12", "a_matrix", "x_matrix", "h1", "h2")]
+    + [("entangled", bell_scenario_doc(), ("apparatus", field)) for field in MODEL_FIELDS])
+FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from([1e308, -1e308]))
+
+
+@st.composite
+def matrix_field(draw, n_entries):
+    """n_entries [re, im] pairs of finite floats, Hermitian when drawn so, or a wrong count."""
+    n = draw(st.one_of(st.just(n_entries), st.integers(0, 2 * n_entries)))
+    pairs = [[draw(FINITE), draw(FINITE)] for _ in range(n)]
+    dim = math.isqrt(n)
+    if dim * dim == n and draw(st.booleans()):  # mirror the upper triangle
+        for i in range(dim):
+            pairs[i * dim + i][1] = 0.0
+            for j in range(i):
+                re, im = pairs[j * dim + i]
+                pairs[i * dim + j] = [re, -im]
+    return pairs
+
+
+class TestParserFuzz:
+    """One matrix field of a model or scenario file replaced by finite floats (±1e308
+    included) or a wrong count: a documented exit code, no traceback, strict JSON out."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), target=st.sampled_from(FUZZ_TARGETS))
+    def test_one_matrix_field(self, data, target):
+        command, original, path = target
+        doc = copy.deepcopy(original)
+        parent = doc if len(path) == 1 else doc[path[0]]
+        parent[path[-1]] = data.draw(matrix_field(len(parent[path[-1]])))
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            file = f"{tmp}/doc.json"
+            save_json(file, doc)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                    np.errstate(over="ignore", invalid="ignore"):  # entries near the float limit
+                rc = main([command, file, "--json"])
+        assert rc in (0, 3, 4, 5), err.getvalue()
+        if rc == 0 or out.getvalue():
+            strict_json(out.getvalue())
 
 
 class TestExportZoo:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from reductionlab import measurement
+from reductionlab import checks, measurement
 from reductionlab.errors import ValidationError, ZeroProbabilityError
 from reductionlab.linalg import (TOL_OP, TOL_PROB, dagger, herm_expm, identity, max_abs,
                                 partial_trace, tensor)
@@ -11,6 +13,7 @@ from reductionlab.measurement import (
     mixture_identity_check,
     nonselective_state,
     outcome_probability,
+    reductions,
     satisfies_projection_postulate,
     state_reduction,
     state_reduction_sandwiched,
@@ -191,17 +194,72 @@ class TestStateReduction:
 
 class TestMixtureIdentity:
     def test_cnot_plus(self):
-        assert mixture_identity_check(CNOT, pure(KET_PLUS)) < 1e-10
+        rho = pure(KET_PLUS)
+        assert mixture_identity_check(CNOT, rho, reductions(CNOT, rho)) < 1e-10
 
     def test_identity_model_trivial(self):
         rho = random_density(RNG, 2)
-        assert mixture_identity_check(identity_model(), rho) < 1e-12
+        model = identity_model()
+        assert mixture_identity_check(model, rho, reductions(model, rho)) < 1e-12
 
     def test_random_models_and_states(self):
         for i in range(50):
             model = random_indirect_model(100 + i, 2 + i % 2, 3).model
             rho = random_density(RNG, model.object_dim)
-            assert mixture_identity_check(model, rho) < 1e-9
+            assert mixture_identity_check(model, rho, reductions(model, rho)) < 1e-9
+
+
+class TestReductions:
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 4), extra=st.integers(0, 2),
+           swap=st.booleans(), spread=st.sampled_from([0.0, 1e-3, 1.0]))
+    def test_weights_states_and_mixture(self, seed, d, extra, swap, spread):
+        rng = np.random.default_rng(seed)
+        if swap:
+            model = swap_replace_model(random_density(rng, d), random_observable(rng, d)).model
+        else:
+            model = random_indirect_model(seed, d, d + extra).model
+        # weight `spread` outside the first eigenspace of A: at 0 the other outcomes are dropped
+        full = random_density(rng, d).matrix
+        proj = model.measured.spectrum[0][1]
+        inside = proj @ full @ proj
+        rho = DensityOperator((1 - spread) * inside / np.trace(inside).real + spread * full)
+        reduced = reductions(model, rho)
+        weights = {a: float(np.trace(eff @ rho.matrix).real) for a, eff in effects(model)}
+        kept = {a: p for a, p, _ in reduced}
+        dropped = {a: p for a, p in weights.items() if a not in kept}
+        assert all(p > TOL_PROB for p in kept.values())
+        assert all(p <= TOL_PROB for p in dropped.values())
+        assert abs(sum(kept.values()) + sum(dropped.values()) - 1.0) <= TOL_PROB
+        for _, _, rho_a in reduced:
+            assert max_abs(rho_a.matrix - dagger(rho_a.matrix)) <= TOL_OP
+            assert abs(np.trace(rho_a.matrix) - 1.0) <= TOL_OP
+        assert mixture_identity_check(model, rho, reduced) <= TOL_OP
+
+    def test_verify_and_sweep_reduce_each_state_once(self, monkeypatch):
+        calls = []
+
+        def counted(model, rho, a):
+            calls.append((model, rho, a))
+            return state_reduction(model, rho, a)
+
+        def check_calls(n_states):
+            """One call per (state, outcome with P(a) > TOL_PROB) over n_states states."""
+            model = calls[0][0]
+            states = {id(rho): rho for _, rho, _ in calls}
+            expected = sorted((id(rho), a) for rho in states.values()
+                              for a, p in outcome_probability(model, rho).entries.items()
+                              if p > TOL_PROB)
+            assert len(states) == n_states
+            assert sorted((id(rho), a) for _, rho, a in calls) == expected
+            calls.clear()
+
+        monkeypatch.setattr(measurement, "state_reduction", counted)
+        for entry in standard_entries():
+            checks.verify(entry.model, TOL_OP)
+            check_calls(entry.model.object_dim ** 2)
+        checks._trial(3, 2, 3)
+        check_calls(10 + 1)  # ten random states and the affinity check's mixture
 
 
 DEGENERATE_SHIFT = controlled_shift_model(Observable(np.diag([0.0, 0.0, 1.0]))).model

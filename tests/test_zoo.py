@@ -7,6 +7,7 @@ from reductionlab.measurement import (
     mixture_identity_check,
     nonselective_state,
     outcome_probability,
+    reductions,
     satisfies_projection_postulate,
     state_reduction,
     verify_measures,
@@ -124,7 +125,8 @@ class TestRandomIndirect:
         for seed in range(5):
             entry = random_indirect_model(50 + seed, 3, 3)
             rho = random_density(RNG, 3)
-            assert mixture_identity_check(entry.model, rho) < 1e-9
+            reduced = reductions(entry.model, rho)
+            assert mixture_identity_check(entry.model, rho, reduced) < 1e-9
 
     def test_seed_determinism(self):
         a = random_indirect_model(1234, 3, 4)
