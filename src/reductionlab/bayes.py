@@ -63,6 +63,10 @@ class EntangledScenario:
             raise DimensionMismatchError("hamiltonian dimensions inconsistent with rho12")
         if not (is_hermitian(h1) and is_hermitian(h2)):
             raise ValidationError("h1 and h2 must be Hermitian")
+        for field, h in (("h1", h1), ("h2", h2)):
+            w = np.linalg.eigvalsh(h)
+            if not np.isfinite(w).all():  # eigh overflows near the float limit
+                raise ValidationError(f"{field}: hamiltonian has a non-finite eigenvalue: {w}")
         if not (0.0 <= t < math.inf and 0.0 <= tau < math.inf):  # also rejects NaN
             raise ValidationError("times must be finite and nonnegative")
         self.rho12 = rho12

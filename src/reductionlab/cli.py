@@ -238,7 +238,7 @@ def build_parser(default_tol: float) -> argparse.ArgumentParser:
     p.add_argument("--state", required=True,
                    help="named qubit state (0,1,+,-,i,-i), 'mixed', or a JSON matrix file")
     p.add_argument("--outcome", type=float, required=True)
-    common(p)
+    p.add_argument("--json", action="store_true", help="accepted; reduce always prints JSON")
     p.set_defaults(fn=cmd_reduce)
 
     p = sub.add_parser("entangled", help="joint distribution, prior and posterior states")

@@ -9,10 +9,18 @@ Every quantity is evaluated through the model's instrument, the operation
 I_a(rho) = Tr_A[(1 (x) E^B(a)) U (rho (x) sigma) U^dag], in its Kraus form
 sum_{k,l} M_akl rho M_akl^dag with M_akl = sqrt(s_l) <b_k| U |phi_l>, where
 sigma = sum_l s_l |phi_l><phi_l| and {b_k} is an orthonormal basis of
-E^B(a).  Nothing on that path forms a composite-space operator.  The
-composite-space forms (`MeasurementModel.composite_after`,
-`MeasurementModel.probe_projection`, `state_reduction_sandwiched`) are
-kept only as the oracle that the Kraus form is checked against.
+E^B(a).  Nothing on that path forms a composite-space operator.
+
+`state_reduction_sandwiched` is the oracle that the Kraus form is checked
+against: the literal Tr_A[(1 (x) E^B(a)) U (rho (x) sigma) U^dag (1 (x) E^B(a))]
+/ P(a), sharing neither sigma's eigendecomposition nor the probe bases
+with the Kraus path.  It is contracted on the (object, apparatus) indices
+in this order: U (1 (x) sigma), then (rho (x) 1) from the right, then
+1 (x) E^B(a) from the left (the right-hand projection moves under Tr_A,
+since E^B(a)^2 = E^B(a)), then U^dag with the apparatus index summed.
+No Kronecker product is formed; the composite state U (rho (x) sigma) U^dag
+is built only by `MeasurementModel.composite_after`, kept as a reference
+for tests.
 
 A model satisfies the projection postulate when each I_a is the Lueders
 operation rho -> E^A(a) rho E^A(a).  Two operations are equal exactly when
@@ -38,11 +46,9 @@ from .linalg import (
     TOL_PROB,
     as_matrix,
     dagger,
-    identity,
     is_hermitian,
     is_unitary,
     max_abs,
-    partial_trace,
     tensor,
 )
 from .quantum import (
@@ -212,14 +218,26 @@ def state_reduction(model: MeasurementModel, rho: DensityOperator, a: float) -> 
 
 def state_reduction_sandwiched(model: MeasurementModel, rho: DensityOperator,
                                a: float) -> DensityOperator:
-    """Oracle: Tr_A[(1 (x) E^B(a)) U (rho (x) sigma) U^dag (1 (x) E^B(a))] / P(a)
-    on the composite space, probe projection on both sides."""
-    eb = tensor(identity(model.object_dim), model.probe_projection(a))
-    comp = eb @ model.composite_after(rho) @ eb
-    p = float(np.trace(comp).real)
+    """Oracle: Tr_A[(1 (x) E^B(a)) U (rho (x) sigma) U^dag (1 (x) E^B(a))] / P(a).
+
+    Contracted on the (object, apparatus) indices in the order the module
+    docstring gives; no Kronecker product is formed.
+    """
+    model._check_state(rho)
+    d, da = model.object_dim, model.apparatus_dim
+    n = d * da
+    # x[(i, beta), j, gamma] = sum_beta' U[(i, beta), (j, beta')] sigma[beta', gamma]
+    x = (model.u.reshape(-1, da) @ model.sigma.matrix).reshape(n, d, da)
+    # x[(i, beta), k, gamma] = sum_j rho[j, k] x[(i, beta), j, gamma]: U (rho (x) sigma)
+    x = rho.matrix.T @ x
+    # (1 (x) E^B(a)) on the left only: the right-hand copy moves under Tr_A, E^B(a)^2 = E^B(a)
+    y = model.probe_projection(a) @ x.reshape(d, da, n)
+    # num[i, i'] = sum_{beta, (k, gamma)} y[i, beta, (k, gamma)] conj(U)[(i', beta), (k, gamma)]
+    num = y.reshape(d, da * n) @ model.u.conj().reshape(d, da * n).T
+    p = float(np.trace(num).real)
     if p <= TOL_PROB:
         raise ZeroProbabilityError(f"outcome {a} has probability {p}; reduced state undefined")
-    return DensityOperator(partial_trace(comp, (model.object_dim, model.apparatus_dim), [0]) / p)
+    return DensityOperator(num / p)
 
 
 def reductions(model: MeasurementModel,

@@ -21,10 +21,18 @@ from reductionlab.modelio import (
     scenario_to_dict,
 )
 from reductionlab.errors import ParseError, ValidationError
-from reductionlab.linalg import herm_expm, identity, tensor
-from reductionlab.measurement import MeasurementModel
-from reductionlab.quantum import DensityOperator, Observable, operator_deviation
-from reductionlab.zoo import PAULI_X, PAULI_Z, cnot_qubit_model, standard_entries
+from reductionlab.linalg import dagger, herm_expm, identity, tensor
+from reductionlab.measurement import MeasurementModel, effects
+from reductionlab.quantum import DensityOperator, Observable, operator_deviation, random_density
+from reductionlab.zoo import (
+    PAULI_X,
+    PAULI_Z,
+    cnot_qubit_model,
+    random_indirect_model,
+    random_observable,
+    standard_entries,
+    swap_replace_model,
+)
 
 
 def strict_json(text: str):
@@ -65,6 +73,27 @@ class TestModelRoundTrip:
         assert operator_deviation(reparsed.u, entry.model.u) == 0.0
         assert operator_deviation(reparsed.sigma, entry.model.sigma) == 0.0
         assert operator_deviation(reparsed.probe.matrix, entry.model.probe.matrix) == 0.0
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 4), extra=st.integers(0, 2),
+           swap=st.booleans(), scale=st.sampled_from([1e-300, 1.0, 1e300]))
+    def test_json_text_round_trip_is_exact(self, seed, d, extra, swap, scale):
+        rng = np.random.default_rng(seed)
+        if swap:
+            model = swap_replace_model(random_density(rng, d), random_observable(rng, d)).model
+        else:
+            model = random_indirect_model(seed, d, d + extra).model
+        h = scale * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        model = MeasurementModel(model.sigma, model.u, model.probe, model.measured,
+                                 object_hamiltonian=h + dagger(h))
+        back = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
+        for field in (lambda m: m.u, lambda m: m.sigma.matrix, lambda m: m.measured.matrix,
+                      lambda m: m.probe.matrix, lambda m: m.object_hamiltonian):
+            assert field(back).dtype == field(model).dtype
+            assert field(back).tobytes() == field(model).tobytes()  # bit for bit
+        assert back.outcomes() == model.outcomes()
+        for (a, eff), (b, ref) in zip(effects(back), effects(model), strict=True):
+            assert a == b and np.array_equal(eff, ref)
 
     def test_rejects_wrong_version(self):
         doc = model_to_dict(cnot_qubit_model().model)
@@ -178,6 +207,17 @@ class TestExitCodes:
         assert captured.out == ""
         assert f"{named}: observable has a non-finite eigenvalue" in captured.err
 
+    @pytest.mark.parametrize("field", ["h1", "h2"])
+    def test_overflowing_hamiltonian_spectrum(self, bell_scenario_path, capsys, field):
+        # finite entries whose spectrum overflows: the eigenvalues are 0 and 2e308 = inf
+        doc = load_json(bell_scenario_path)
+        doc[field] = [[1e308, 0.0]] * 4
+        save_json(bell_scenario_path, doc)
+        assert main(["entangled", bell_scenario_path, "--json"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{field}: hamiltonian has a non-finite eigenvalue" in captured.err
+
     def test_zero_probability(self, cnot_path, capsys):
         assert main(["reduce", cnot_path, "--state", "0", "--outcome", "-1"]) == 5
 
@@ -204,6 +244,21 @@ class TestReduce:
 
     def test_outcome_not_in_spectrum(self, cnot_path, capsys):
         assert main(["reduce", cnot_path, "--state", "+", "--outcome", "3"]) == 4
+
+    def test_always_prints_json(self, cnot_path, capsys):
+        args = ["reduce", cnot_path, "--state", "+", "--outcome", "1"]
+        assert main(args) == 0
+        plain = capsys.readouterr().out
+        assert main(args + ["--json"]) == 0
+        assert capsys.readouterr().out == plain
+        strict_json(plain)
+
+    def test_takes_no_tolerance(self, cnot_path, capsys):
+        assert main(["reduce", cnot_path, "--state", "+", "--outcome", "1",
+                     "--tolerance", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--tolerance" in captured.err
 
 
 class TestEntangled:

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reductionlab import checks, measurement
-from reductionlab.errors import ValidationError, ZeroProbabilityError
+from reductionlab import checks, linalg, measurement
+from reductionlab.errors import DimensionMismatchError, ValidationError, ZeroProbabilityError
 from reductionlab.linalg import (TOL_OP, TOL_PROB, dagger, herm_expm, identity, max_abs,
                                 partial_trace, tensor)
 from reductionlab.measurement import (
@@ -362,12 +362,84 @@ def _swap_full_rank():
     return swap_replace_model(random_density(rng, 3), random_observable(rng, 3, 2)).model
 
 
+def _degenerate_probe_eigenspace():
+    """Two outcomes on a five-level pointer in a random basis: E^B(0) has rank four."""
+    a_obs = Observable(np.diag([0.0, 0.0, 1.0]).astype(complex))
+    model = random_indirect_model(8, 3, 5, a_obs=a_obs).model
+    assert np.linalg.matrix_rank(model.probe_projection(0.0)) == 4
+    return model
+
+
 KRAUS_MODELS = [(e.name, lambda e=e: e.model) for e in standard_entries()] + [
     ("random_indirect_3x4", lambda: random_indirect_model(3, 3, 4).model),
     ("random_indirect_5x6", lambda: random_indirect_model(4, 5, 6).model),
     ("swap_full_rank_sigma", _swap_full_rank),
     ("pure_pointer_rounding_spectrum", _pure_pointer_with_rounding_spectrum),
+    ("degenerate_probe_eigenspace", _degenerate_probe_eigenspace),
 ]
+
+
+def forbid_composite(monkeypatch):
+    """Make the composite-space helpers raise wherever `measurement` could reach them."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("composite-space path called")
+
+    for name in ("tensor", "partial_trace"):
+        monkeypatch.setattr(linalg, name, forbidden)
+        monkeypatch.setattr(measurement, name, forbidden, raising=False)
+    monkeypatch.setattr(MeasurementModel, "composite_after", forbidden)
+
+
+def literal_sandwich(model, rho):
+    """{a: (Tr_A[eb U (rho (x) sigma) U^dag eb], P(a))} with eb = 1 (x) E^B(a) as a full
+    matrix on both sides of the composite state: the oracle's formula at its most literal."""
+    d, da = model.object_dim, model.apparatus_dim
+    composite = model.u @ tensor(rho.matrix, model.sigma.matrix) @ dagger(model.u)
+    out = {}
+    for a in model.outcomes():
+        eb = tensor(identity(d), model.probe_projection(a))
+        num = partial_trace(eb @ composite @ eb, (d, da), [0])
+        out[a] = (num, float(np.trace(num).real))
+    return out
+
+
+def _oracle_states(model):
+    rng = np.random.default_rng(model.object_dim * model.apparatus_dim)
+    return spanning_states(model.object_dim) + [
+        random_density(rng, model.object_dim) for _ in range(3)]
+
+
+class TestSandwichedOracle:
+    """The contracted oracle against the two-sided formula written out on the composite space."""
+
+    @pytest.mark.parametrize("model_fn", [fn for _, fn in KRAUS_MODELS],
+                             ids=[name for name, _ in KRAUS_MODELS])
+    def test_matches_literal_sandwich(self, model_fn):
+        model = model_fn()
+        for rho in _oracle_states(model):
+            for a, (num, p) in literal_sandwich(model, rho).items():
+                if p > TOL_PROB:
+                    got = state_reduction_sandwiched(model, rho, a).matrix
+                    assert max_abs(got - num / p) <= 1e-12
+                else:
+                    with pytest.raises(ZeroProbabilityError):
+                        state_reduction_sandwiched(model, rho, a)
+
+    def test_never_forms_the_composite_state(self, monkeypatch):
+        models = [random_indirect_model(3, 3, 4).model, _swap_full_rank(),
+                  _degenerate_probe_eigenspace()]
+        cases = [(model, rho, literal_sandwich(model, rho))
+                 for model in models for rho in _oracle_states(model)]
+        forbid_composite(monkeypatch)
+        for model, rho, ref in cases:
+            for a, (num, p) in ref.items():
+                if p > TOL_PROB:
+                    got = state_reduction_sandwiched(model, rho, a).matrix
+                    assert max_abs(got - num / p) <= 1e-12
+
+    def test_refuses_a_state_of_the_wrong_dimension(self):
+        with pytest.raises(DimensionMismatchError):
+            state_reduction_sandwiched(CNOT, DensityOperator(identity(3) / 3), 1.0)
 
 
 class TestKrausAgainstComposite:
@@ -400,13 +472,7 @@ class TestKrausAgainstComposite:
 
 def test_instrument_never_forms_the_composite_state(monkeypatch):
     models = [random_indirect_model(3, 3, 4).model, _swap_full_rank()]
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("composite-space path called")
-
-    monkeypatch.setattr(measurement, "tensor", forbidden)
-    monkeypatch.setattr(measurement, "partial_trace", forbidden)
-    monkeypatch.setattr(MeasurementModel, "composite_after", forbidden)
+    forbid_composite(monkeypatch)
     for model in models:
         rho = random_density(RNG, model.object_dim)
         assert len(effects(model)) == len(model.outcomes())
