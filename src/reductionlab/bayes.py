@@ -63,12 +63,21 @@ class EntangledScenario:
             raise DimensionMismatchError("hamiltonian dimensions inconsistent with rho12")
         if not (is_hermitian(h1) and is_hermitian(h2)):
             raise ValidationError("h1 and h2 must be Hermitian")
+        scale = []  # max |eigenvalue| of h1, then of h2
         for field, h in (("h1", h1), ("h2", h2)):
             w = np.linalg.eigvalsh(h)
             if not np.isfinite(w).all():  # eigh overflows near the float limit
                 raise ValidationError(f"{field}: hamiltonian has a non-finite eigenvalue: {w}")
+            scale.append(float(np.max(np.abs(w))))
         if not (0.0 <= t < math.inf and 0.0 <= tau < math.inf):  # also rejects NaN
             raise ValidationError("times must be finite and nonnegative")
+        # every phase w * time that an evolution below forms, the oracle's free one included
+        w1, w2 = scale
+        for field, w_max, time, value in (("h1", w1, "t", t), ("h2", w2, "t + tau", t + tau),
+                                          ("h1 + h2", w1 + w2, "max(t, tau)", max(t, tau))):
+            if not math.isfinite(w_max * value):
+                raise ValidationError(
+                    f"{field}: phase max|eigenvalue| * {time} = {w_max} * {value} is not finite")
         self.rho12 = rho12
         self.a_obs = a_obs
         self.x_obs = x_obs

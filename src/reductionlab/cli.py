@@ -178,6 +178,8 @@ def cmd_entangled(args) -> int:
 def cmd_sweep(args) -> int:
     if args.trials < 1:
         raise UsageError(f"--trials must be at least 1, got {args.trials}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     reports = checks.sweep(args.seed, args.trials, args.dims, args.tolerance)
     extra = {"seed": args.seed, "trials": args.trials, "dims": list(args.dims)}
     _print_reports(reports, args.json, extra)
@@ -202,7 +204,9 @@ def _parse_dims(text: str) -> list[int]:
             dims = [int(part) for part in text.split(",")]
     except ValueError:
         raise UsageError(f"cannot parse dims {text!r}") from None
-    if not dims or any(d < 2 for d in dims):
+    if not dims:
+        raise UsageError(f"dims range {text} is empty")
+    if any(d < 2 for d in dims):
         raise UsageError(f"dims must all be >= 2, got {dims}")
     return dims
 

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -218,6 +219,26 @@ class TestExitCodes:
         assert captured.out == ""
         assert f"{field}: hamiltonian has a non-finite eigenvalue" in captured.err
 
+    @pytest.mark.parametrize("field, times, named", [
+        ("h1", {"t": 1e10}, "h1: phase max|eigenvalue| * t"),
+        ("h2", {"tau": 1e10}, "h2: phase max|eigenvalue| * t + tau"),
+        # only the oracle evolves h1 during tau
+        ("h1", {"tau": 1e10}, "h1 + h2: phase max|eigenvalue| * max(t, tau)"),
+    ])
+    def test_overflowing_phase(self, bell_scenario_path, capsys, field, times, named):
+        # a finite spectrum, diag(1e300, 0), whose phase overflows at the time given
+        doc = load_json(bell_scenario_path)
+        doc[field] = [[1e300, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+        doc.update({"t": 0.0, "tau": 0.0, **times})
+        save_json(bell_scenario_path, doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning from an evolution either
+            assert main(["entangled", bell_scenario_path, "--json"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert named in captured.err
+        assert "is not finite" in captured.err
+
     def test_zero_probability(self, cnot_path, capsys):
         assert main(["reduce", cnot_path, "--state", "0", "--outcome", "-1"]) == 5
 
@@ -318,6 +339,14 @@ class TestSweep:
 
     def test_bad_dims(self, capsys):
         assert main(["sweep", "--dims", "1,2"]) == 1
+
+    def test_empty_dims_range(self, capsys):
+        assert main(["sweep", "--dims", "3..2"]) == 1
+        assert capsys.readouterr().err == "usage error: dims range 3..2 is empty\n"
+
+    def test_negative_seed(self, capsys):
+        assert main(["sweep", "--seed", "-1", "--trials", "1", "--dims", "2"]) == 1
+        assert capsys.readouterr().err == "usage error: --seed must be >= 0, got -1\n"
 
     def test_nan_deviation_after_a_finite_one_fails(self, monkeypatch, capsys):
         # max(1e-12, nan) is 1e-12: an aggregator built on it would read NaN as a pass

@@ -35,6 +35,7 @@ from reductionlab.zoo import (
     PAULI_Z,
     cnot_qubit_model,
     controlled_shift_model,
+    haar_unitary,
     random_indirect_model,
     random_observable,
     standard_entries,
@@ -468,6 +469,46 @@ class TestKrausAgainstComposite:
                     assert operator_deviation(state_reduction(model, rho, a), ref) <= TOL_OP
             ref = partial_trace(comp, dims, [0])
             assert operator_deviation(nonselective_state(model, rho), ref) <= TOL_OP
+
+
+class TestContractionOrder:
+    """`_kraus` contracts the smaller apparatus index first; both orders give the instrument."""
+
+    def test_kraus_models_cover_both_orders(self):
+        def ranks(model):
+            """(rank E^B(a), rank sigma) for each outcome a."""
+            return [(basis.shape[1], model._pointer.shape[1]) for basis in model._probe_bases]
+
+        models = dict(KRAUS_MODELS)
+        assert any(k < r for k, r in ranks(models["swap_full_rank_sigma"]()))
+        assert any(k >= r for k, r in ranks(models["degenerate_probe_eigenspace"]()))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 4), extra=st.integers(0, 2),
+           swap=st.booleans(), data=st.data())
+    def test_matches_composite_formula(self, seed, d, extra, swap, data):
+        rng = np.random.default_rng(seed)
+        if swap:
+            base = swap_replace_model(random_density(rng, d), random_observable(rng, d)).model
+        else:
+            base = random_indirect_model(seed, d, d + extra).model
+        da = base.apparatus_dim
+        # sigma replaced by a state of random rank: the model may no longer measure A,
+        # but its instrument is still defined
+        rank = data.draw(st.integers(1, da), label="rank")
+        kets = haar_unitary(rng, da)[:, :rank]
+        weights = rng.uniform(0.1, 1.0, rank)
+        sigma = DensityOperator((kets * (weights / weights.sum())) @ dagger(kets))
+        model = MeasurementModel(sigma, base.u, base.probe, base.measured)
+        assert model._pointer.shape[1] == rank
+        rho = random_density(rng, d).matrix
+        comp = model.u @ tensor(rho, sigma.matrix) @ dagger(model.u)
+        ref = partial_trace(comp, (d, da), [0])
+        assert max_abs(measurement._apply(model._kraus(), rho) - ref) <= 1e-12
+        for a, basis in zip(model.outcomes(), model._probe_bases):
+            eb = tensor(identity(d), model.probe_projection(a))
+            ref = partial_trace(eb @ comp @ eb, (d, da), [0])
+            assert max_abs(measurement._apply(model._kraus(basis), rho) - ref) <= 1e-12
 
 
 def test_instrument_never_forms_the_composite_state(monkeypatch):
