@@ -52,6 +52,7 @@ from .quantum import (
     born_distribution,
     evolve,
     ket,
+    outcome_index,
     pure,
     rule1_distribution,
 )

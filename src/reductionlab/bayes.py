@@ -4,7 +4,8 @@ Joint outcome statistics computed two ways: a closed-form expression in
 Heisenberg-evolved spectral projections, and a brute-force apparatus-level
 oracle that simulates the full object-apparatus-bystander dynamics and
 reads two commuting projections jointly.  Plus Bayes prior/posterior
-states of the distant subsystem.
+states of the distant subsystem.  The pair's two factors are those of the
+observables measured on it.
 
 The oracle stays the literal three-factor simulation on H1 (x) HA (x) H2
 and shares no structure with the formula: it diagonalizes the full free
@@ -22,7 +23,6 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError, ZeroProbabilityError
 from .linalg import (
-    TOL_EIG,
     TOL_OP,
     TOL_PROB,
     as_matrix,
@@ -41,26 +41,25 @@ from .quantum import (
     Observable,
     OutcomeDistribution,
     operator_deviation,
+    outcome_index,
 )
 
 
 class EntangledScenario:
     """State rho12 on H1 (x) H2; A measured locally on subsystem 1 at time t,
-    X measured on subsystem 2 at time t + tau; free Hamiltonians h1, h2."""
+    X measured on subsystem 2 at time t + tau; free Hamiltonians h1, h2.
+    The factors H1 and H2 are those of the observables A and X."""
 
     def __init__(self, rho12: DensityOperator, a_obs: Observable, x_obs: Observable,
                  h1=None, h2=None, t: float = 0.0, tau: float = 0.0):
-        if rho12.dims is None or len(rho12.dims) != 2:
-            raise DimensionMismatchError("rho12 needs a two-factor dims annotation")
-        d1, d2 = rho12.dims
-        if a_obs.dim != d1:
-            raise DimensionMismatchError(f"a_obs dim {a_obs.dim} != subsystem-1 dim {d1}")
-        if x_obs.dim != d2:
-            raise DimensionMismatchError(f"x_obs dim {x_obs.dim} != subsystem-2 dim {d2}")
+        d1, d2 = a_obs.dim, x_obs.dim
+        if rho12.dim != d1 * d2:
+            raise DimensionMismatchError(
+                f"rho12 dim {rho12.dim} != a_obs dim {d1} * x_obs dim {d2}")
         h1 = np.zeros((d1, d1), dtype=complex) if h1 is None else as_matrix(h1)
         h2 = np.zeros((d2, d2), dtype=complex) if h2 is None else as_matrix(h2)
         if h1.shape[0] != d1 or h2.shape[0] != d2:
-            raise DimensionMismatchError("hamiltonian dimensions inconsistent with rho12")
+            raise DimensionMismatchError("hamiltonian dimensions inconsistent with the observables")
         if not (is_hermitian(h1) and is_hermitian(h2)):
             raise ValidationError("h1 and h2 must be Hermitian")
         scale = []  # max |eigenvalue| of h1, then of h2
@@ -88,7 +87,7 @@ class EntangledScenario:
 
     @property
     def dims(self) -> tuple[int, int]:
-        return self.rho12.dims
+        return self.a_obs.dim, self.x_obs.dim
 
 
 class LocalApparatusSpec:
@@ -214,10 +213,11 @@ def posterior_state(s: EntangledScenario, a: float) -> DensityOperator:
 
 
 def bayes_condition(j: JointDistribution, a: float) -> OutcomeDistribution:
-    """Classical conditioning: P(x | a) = j[(a, x)] / sum_x j[(a, x)]."""
-    row = {x: p for (aa, x), p in j.entries.items() if abs(aa - float(a)) <= TOL_EIG}
-    if not row:
-        raise KeyError(f"no outcome {a} in joint distribution")
+    """Classical conditioning: P(x | a) = j[(a, x)] / sum_x j[(a, x)],
+    on the row of the outcome `a` names (see `outcome_index`)."""
+    labels = list(dict.fromkeys(aa for aa, _ in j.entries))
+    label = labels[outcome_index(labels, a)]
+    row = {x: p for (aa, x), p in j.entries.items() if aa == label}
     total = sum(row.values())
     if total <= TOL_PROB:
         raise ZeroProbabilityError(f"outcome {a} has marginal probability {total}")

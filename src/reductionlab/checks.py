@@ -20,7 +20,7 @@ import numpy as np
 from .bayes import (EntangledScenario, LocalApparatusSpec, bayes_conditionals,
                     bayes_mixture_check, joint_distribution_formula, joint_distribution_oracle,
                     posterior_state)
-from .linalg import TOL_PROB, dagger, identity, max_abs
+from .linalg import TOL_OP, TOL_PROB, dagger, identity, max_abs
 from .measurement import (effects, mixture_identity_check, reductions,
                           satisfies_projection_postulate, state_reduction_sandwiched,
                           statistics_deviation, verify_measures)
@@ -132,17 +132,16 @@ def _random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     return (g + dagger(g)) / 2
 
 
-def _trial(seed: int, d_obj: int, d_other: int) -> list[float]:
-    """Sweep-check deviations on one random model, ten random states and an
-    entangled scenario that uses the model as its local apparatus."""
+def _trial(seed: int, d_obj: int, d_other: int) -> list[Report]:
+    """Timed sweep checks, judged at TOL_OP, on one random model, ten random
+    states and an entangled scenario that uses the model as its local apparatus."""
     rng = np.random.default_rng(seed)
     model = random_indirect_model(seed, d_obj, d_obj + int(rng.integers(0, 2))).model
     states = [random_density(rng, d_obj) for _ in range(10)]
     evaluated = [(rho, reductions(model, rho)) for rho in states]
-    devs = [check.fn(model, evaluated) for check in SWEEP_MODEL_CHECKS]
-    rho12 = random_density(rng, d_obj * d_other)
+    reports = [check.run(TOL_OP, model, evaluated) for check in SWEEP_MODEL_CHECKS]
     scenario = EntangledScenario(
-        DensityOperator(rho12.matrix, dims=(d_obj, d_other)),
+        random_density(rng, d_obj * d_other),
         a_obs=model.measured,
         x_obs=random_observable(rng, d_other),
         h1=_random_hermitian(rng, d_obj),
@@ -153,14 +152,19 @@ def _trial(seed: int, d_obj: int, d_other: int) -> list[float]:
     apparatus = LocalApparatusSpec(model, scenario.a_obs)
     formula = joint_distribution_formula(scenario)
     oracle = joint_distribution_oracle(scenario, apparatus)
-    return devs + [check.fn(scenario, formula, oracle) for check in SCENARIO_CHECKS]
+    return reports + [check.run(TOL_OP, scenario, formula, oracle) for check in SCENARIO_CHECKS]
 
 
 def sweep(seed: int, trials: int, dims: list[int], tol_op: float) -> list[Report]:
-    """Worst deviation of each sweep check over trials seed, seed + 1, ...;
-    trial i pairs object dim dims[i] with partner dim dims[i + 1], cyclically."""
+    """Worst deviation of each sweep check over trials seed, seed + 1, ...,
+    and its time summed over them; trial i pairs object dim dims[i] with
+    partner dim dims[i + 1], cyclically."""
     worst = np.zeros(len(SWEEP_CHECKS))
+    elapsed = np.zeros(len(SWEEP_CHECKS))
     for i in range(trials):
-        devs = _trial(seed + i, dims[i % len(dims)], dims[(i + 1) % len(dims)])
-        worst = np.maximum(worst, devs)  # keeps a NaN deviation, so its check fails
-    return [check.report(float(w), tol_op) for check, w in zip(SWEEP_CHECKS, worst)]
+        reports = _trial(seed + i, dims[i % len(dims)], dims[(i + 1) % len(dims)])
+        # np.maximum keeps a NaN deviation, so its check fails
+        worst = np.maximum(worst, [r.max_deviation for r in reports])
+        elapsed += [r.elapsed_ms for r in reports]
+    return [check.report(float(w), tol_op, float(ms))
+            for check, w, ms in zip(SWEEP_CHECKS, worst, elapsed)]

@@ -28,7 +28,7 @@ from .errors import (
     ValidationError,
     ZeroProbabilityError,
 )
-from .linalg import TOL_EIG, TOL_OP, TOL_PROB, identity
+from .linalg import TOL_OP, TOL_PROB, identity
 from .measurement import outcome_probability, state_reduction
 from .modelio import (
     load_json,
@@ -39,7 +39,7 @@ from .modelio import (
     save_json,
     scenario_from_dict,
 )
-from .quantum import DensityOperator, pure
+from .quantum import DensityOperator, outcome_index, pure
 from .zoo import KET_0, KET_1, KET_MINUS, KET_PLUS, standard_entries
 
 EXIT_OK = 0
@@ -127,8 +127,11 @@ def _parse_state(spec: str, dim: int) -> DensityOperator:
 def cmd_reduce(args) -> int:
     model = model_from_dict(load_json(args.model))
     rho = _parse_state(args.state, model.object_dim)
-    if not any(abs(a - args.outcome) <= TOL_EIG for a in model.outcomes()):
-        raise ValidationError(f"outcome {args.outcome} is not in the spectrum {model.outcomes()}")
+    try:
+        outcome_index(model.outcomes(), args.outcome)
+    except KeyError:
+        raise ValidationError(
+            f"outcome {args.outcome} is not in the spectrum {model.outcomes()}") from None
     p = outcome_probability(model, rho).probability(args.outcome)
     reduced = state_reduction(model, rho, args.outcome)
     _dump({"probability": p, "matrix": matrix_to_pairs(reduced.matrix)})

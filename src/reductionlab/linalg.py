@@ -46,14 +46,14 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().T
 
 
-def is_hermitian(m, tol: float = TOL_OP) -> bool:
+def is_hermitian(m) -> bool:
     a = as_matrix(m)
-    return max_abs(a - dagger(a)) <= tol
+    return max_abs(a - dagger(a)) <= TOL_OP
 
 
-def is_unitary(m, tol: float = TOL_OP) -> bool:
+def is_unitary(m) -> bool:
     a = as_matrix(m)
-    return max_abs(a @ dagger(a) - identity(a.shape[0])) <= tol
+    return max_abs(a @ dagger(a) - identity(a.shape[0])) <= TOL_OP
 
 
 def tensor(*factors) -> np.ndarray:

@@ -65,6 +65,7 @@ from .quantum import (
     OutcomeDistribution,
     born_distribution,
     operator_deviation,
+    outcome_index,
 )
 
 
@@ -117,16 +118,9 @@ class MeasurementModel:
         """Canonical outcome labels: the measured observable's clustered eigenvalues."""
         return self.measured.eigenvalues
 
-    def _index(self, a: float) -> int:
-        """Position of outcome `a` among the sorted outcomes."""
-        for i, val in enumerate(self.outcomes()):
-            if abs(val - a) <= TOL_EIG:
-                return i
-        raise KeyError(f"{a} is not an outcome of this model")
-
     def probe_projection(self, a: float) -> np.ndarray:
         """Probe projection aligned with outcome `a` of the measured observable."""
-        return self.probe.spectrum[self._index(a)][1]
+        return self.probe.spectrum[outcome_index(self.outcomes(), a)][1]
 
     # The instrument's data is built on first use, so that loading a model
     # stays cheap.  Kraus stacks are rebuilt per call rather than kept: they
@@ -227,7 +221,8 @@ def nonselective_state(model: MeasurementModel, rho: DensityOperator) -> Density
 def state_reduction(model: MeasurementModel, rho: DensityOperator, a: float) -> DensityOperator:
     """rho_a = I_a(rho) / P(a) = sum_{k,l} M_akl rho M_akl^dag / P(a)."""
     model._check_state(rho)
-    num = _apply(model._kraus(model._probe_bases[model._index(a)]), rho.matrix)
+    basis = model._probe_bases[outcome_index(model.outcomes(), a)]
+    num = _apply(model._kraus(basis), rho.matrix)
     p = float(np.trace(num).real)
     if p <= TOL_PROB:
         raise ZeroProbabilityError(f"outcome {a} has probability {p}; reduced state undefined")

@@ -1,7 +1,8 @@
 """JSON model and scenario files.
 
 Format version "1": complex numbers are two-element [re, im] arrays,
-matrices are flat row-major lists of such pairs.
+matrices are flat row-major lists of such pairs.  A scenario's dim1 and
+dim2 are the dimensions of its a_matrix and x_matrix.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 import numpy as np
 
 from .bayes import EntangledScenario, LocalApparatusSpec
-from .errors import ParseError, ValidationError
+from .errors import DimensionMismatchError, ParseError, ValidationError
 from .measurement import MeasurementModel
 from .quantum import DensityOperator, Observable
 
@@ -152,9 +153,14 @@ def scenario_from_dict(doc: dict) -> tuple[EntangledScenario, LocalApparatusSpec
     rho12 = _matrix(doc, "rho12")
     if rho12.shape[0] != d1 * d2:
         raise ParseError(f"rho12: expected dimension {d1 * d2}, got {rho12.shape[0]}")
-    rho = _validated("rho12", DensityOperator, rho12, dims=(d1, d2))
+    rho = _validated("rho12", DensityOperator, rho12)
     a_obs = _validated("a_matrix", Observable, _matrix(doc, "a_matrix"))
     x_obs = _validated("x_matrix", Observable, _matrix(doc, "x_matrix"))
+    # the observables give the scenario its factors, so they must be dim1 and dim2
+    for field, obs, dim_field, dim in (("a_matrix", a_obs, "dim1", d1),
+                                       ("x_matrix", x_obs, "dim2", d2)):
+        if obs.dim != dim:
+            raise DimensionMismatchError(f"{field}: dimension {obs.dim} != {dim_field} {dim}")
     h1, h2 = _matrix(doc, "h1"), _matrix(doc, "h2")
     t, tau = _number_field(doc, "t"), _number_field(doc, "tau")
     scenario = EntangledScenario(rho, a_obs, x_obs, h1=h1, h2=h2, t=t, tau=tau)

@@ -1,5 +1,11 @@
 """Physical-layer objects: observables, density operators, Born statistics
-and unitary evolution."""
+and unitary evolution.
+
+An outcome is named by its label, a clustered eigenvalue; `outcome_index`
+is the one rule that matches a queried label to an outcome.  A state is
+its matrix alone: the tensor factors of a composite state are those of
+the observables measured on it.
+"""
 
 from __future__ import annotations
 
@@ -17,6 +23,19 @@ from .linalg import (
     max_abs,
     spectral_decompose,
 )
+
+
+def outcome_index(labels, a: float) -> int:
+    """Position of the label nearest `a`, which must lie within TOL_EIG of it.
+
+    Raises KeyError when no label is that close; a NaN or infinite `a`
+    matches nothing.
+    """
+    gaps = [abs(val - a) for val in labels]
+    gap = min(gaps)
+    if not gap <= TOL_EIG:  # also refuses a NaN gap
+        raise KeyError(f"{a} is not an outcome in {list(labels)}")
+    return gaps.index(gap)
 
 
 class Observable:
@@ -40,17 +59,14 @@ class Observable:
         return [a for a, _ in self.spectrum]
 
     def projection(self, a: float) -> np.ndarray:
-        """Spectral projection for the clustered eigenvalue nearest `a` (within TOL_EIG)."""
-        for val, proj in self.spectrum:
-            if abs(val - a) <= TOL_EIG:
-                return proj
-        raise KeyError(f"{a} is not an eigenvalue of this observable")
+        """Spectral projection for the outcome `a` names (see `outcome_index`)."""
+        return self.spectrum[outcome_index(self.eigenvalues, a)][1]
 
 
 class DensityOperator:
-    """Positive unit-trace operator, optionally annotated with tensor-factor dims."""
+    """Positive unit-trace operator."""
 
-    def __init__(self, matrix, dims=None):
+    def __init__(self, matrix):
         m = as_matrix(matrix)
         if not is_hermitian(m):
             raise ValidationError("density operator must be Hermitian")
@@ -61,11 +77,6 @@ class DensityOperator:
         if abs(tr - 1.0) > TOL_PROB:
             raise ValidationError(f"density operator trace is {tr}, expected 1")
         self.matrix = m
-        self.dims = None if dims is None else tuple(int(d) for d in dims)
-        if self.dims is not None and int(np.prod(self.dims)) != m.shape[0]:
-            raise DimensionMismatchError(
-                f"dims {self.dims} inconsistent with matrix dimension {m.shape[0]}"
-            )
 
     @property
     def dim(self) -> int:
@@ -105,13 +116,8 @@ class OutcomeDistribution(Distribution):
     """Map from outcome value to probability."""
 
     def probability(self, a: float) -> float:
-        for val, p in self.entries.items():
-            if abs(val - a) <= TOL_EIG:
-                return p
-        raise KeyError(f"no outcome {a} in distribution")
-
-    def outcomes(self) -> list[float]:
-        return sorted(self.entries)
+        """P(a) for the outcome `a` names (see `outcome_index`)."""
+        return list(self.entries.values())[outcome_index(self.entries, a)]
 
 
 def ket(*amplitudes) -> np.ndarray:
@@ -144,7 +150,7 @@ def evolve(rho: DensityOperator, h, tau: float) -> DensityOperator:
     if hm.shape[0] != rho.dim:
         raise DimensionMismatchError(f"hamiltonian dim {hm.shape[0]} != state dim {rho.dim}")
     u = herm_expm(hm, tau)
-    return DensityOperator(u @ rho.matrix @ dagger(u), dims=rho.dims)
+    return DensityOperator(u @ rho.matrix @ dagger(u))
 
 
 def rule1_distribution(rho: DensityOperator, h, x: Observable, tau: float) -> OutcomeDistribution:

@@ -6,7 +6,7 @@ generator): the same seed reproduces the same model matrices bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,12 +25,10 @@ KET_PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
 KET_MINUS = np.array([1, -1], dtype=complex) / np.sqrt(2)
 
 
-@dataclass(frozen=True)
-class ZooEntry:
+class ZooEntry(NamedTuple):
     name: str
     model: MeasurementModel
     expected_projective: bool
-    notes: str
 
 
 def cnot_qubit_model() -> ZooEntry:
@@ -45,12 +43,7 @@ def cnot_qubit_model() -> ZooEntry:
         probe=Observable(PAULI_Z),
         measured=Observable(PAULI_Z),
     )
-    return ZooEntry(
-        name="cnot",
-        model=model,
-        expected_projective=True,
-        notes="object-controlled NOT copies the Z basis onto the pointer; Lueders reduction",
-    )
+    return ZooEntry(name="cnot", model=model, expected_projective=True)
 
 
 def swap_replace_model(sigma_out: DensityOperator, a_obs: Observable) -> ZooEntry:
@@ -77,12 +70,7 @@ def swap_replace_model(sigma_out: DensityOperator, a_obs: Observable) -> ZooEntr
     projective = all(
         _is_normalized_eigenprojection(sigma_out, a_obs, a) for a in a_obs.eigenvalues
     )
-    return ZooEntry(
-        name="swap_replace",
-        model=model,
-        expected_projective=projective,
-        notes="SWAP hands the object's state to the pointer and replaces it with sigma_out",
-    )
+    return ZooEntry(name="swap_replace", model=model, expected_projective=projective)
 
 
 def _is_normalized_eigenprojection(sigma: DensityOperator, obs: Observable, a: float) -> bool:
@@ -125,12 +113,7 @@ def controlled_shift_model(a_obs: Observable, apparatus_dim: int | None = None) 
         probe=Observable(b),
         measured=a_obs,
     )
-    return ZooEntry(
-        name="controlled_shift",
-        model=model,
-        expected_projective=True,
-        notes="von Neumann pointer on a finite dial; Lueders reduction on each eigenspace",
-    )
+    return ZooEntry(name="controlled_shift", model=model, expected_projective=True)
 
 
 def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -186,12 +169,7 @@ def random_indirect_model(seed: int, object_dim: int, apparatus_dim: int,
         probe=Observable(w @ base.probe.matrix @ dagger(w)),
         measured=a_obs,
     )
-    return ZooEntry(
-        name=f"random_indirect_{seed}",
-        model=model,
-        expected_projective=True,
-        notes="controlled-shift conjugated by a seeded Haar unitary on the apparatus",
-    )
+    return ZooEntry(name=f"random_indirect_{seed}", model=model, expected_projective=True)
 
 
 def standard_entries() -> list[ZooEntry]:
@@ -200,9 +178,7 @@ def standard_entries() -> list[ZooEntry]:
         cnot_qubit_model(),
         swap_replace_model(pure(KET_PLUS), Observable(PAULI_Z)),
         controlled_shift_model(Observable(np.diag([0.0, 1.0, 2.0]).astype(complex))),
-        replace(
-            controlled_shift_model(Observable(np.diag([0.0, 0.0, 1.0]).astype(complex))),
-            name="controlled_shift_degenerate",
-        ),
+        controlled_shift_model(Observable(np.diag([0.0, 0.0, 1.0]).astype(complex)))._replace(
+            name="controlled_shift_degenerate"),
         random_indirect_model(seed=42, object_dim=3, apparatus_dim=4),
     ]

@@ -116,7 +116,7 @@ def _random_hermitian(rng, d):
 def _random_scenario(rng, d1, d2, a_obs):
     rho12 = random_density(rng, d1 * d2)
     return EntangledScenario(
-        DensityOperator(rho12.matrix, dims=(d1, d2)),
+        DensityOperator(rho12.matrix),
         a_obs=a_obs,
         x_obs=random_observable(rng, d2),
         h1=_random_hermitian(rng, d1),
@@ -153,7 +153,7 @@ def _scenario_sweep():
 def _bell_scenario(x_matrix):
     phi = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
     return EntangledScenario(
-        DensityOperator(np.outer(phi, phi), dims=(2, 2)),
+        DensityOperator(np.outer(phi, phi)),
         Observable(PAULI_Z), Observable(x_matrix))
 
 

@@ -15,7 +15,7 @@ from reductionlab.bayes import (
     posterior_state,
     prior_state,
 )
-from reductionlab.errors import ValidationError, ZeroProbabilityError
+from reductionlab.errors import DimensionMismatchError, ValidationError, ZeroProbabilityError
 from reductionlab.linalg import (
     TOL_OP,
     TOL_PROB,
@@ -51,7 +51,7 @@ RNG = np.random.default_rng(31415)
 
 def bell_state():
     phi = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-    return DensityOperator(np.outer(phi, phi), dims=(2, 2))
+    return DensityOperator(np.outer(phi, phi))
 
 
 def random_hermitian(d, rng=RNG):
@@ -61,7 +61,7 @@ def random_hermitian(d, rng=RNG):
 
 def random_scenario(rng, d1, d2, a_obs=None, x_outcomes=None, t=None, tau=None):
     return EntangledScenario(
-        DensityOperator(random_density(rng, d1 * d2).matrix, dims=(d1, d2)),
+        DensityOperator(random_density(rng, d1 * d2).matrix),
         a_obs=a_obs if a_obs is not None else random_observable(rng, d1),
         x_obs=random_observable(rng, d2, n_outcomes=x_outcomes),
         h1=random_hermitian(d1, rng),
@@ -79,12 +79,18 @@ class TestScenario:
             EntangledScenario(bell_state(), Observable(PAULI_Z), Observable(PAULI_Z),
                               t=t, tau=tau)
 
+    def test_factors_are_the_observables(self):
+        x_obs = random_observable(RNG, 3)
+        assert EntangledScenario(random_density(RNG, 6), Observable(PAULI_Z), x_obs).dims == (2, 3)
+        with pytest.raises(DimensionMismatchError, match="rho12 dim 6"):
+            EntangledScenario(random_density(RNG, 6), Observable(PAULI_Z), Observable(PAULI_Z))
+
 
 class TestJointFormula:
     def test_product_state_independence(self):
         rho1, rho2 = random_density(RNG, 2), random_density(RNG, 2)
         s = EntangledScenario(
-            DensityOperator(tensor(rho1.matrix, rho2.matrix), dims=(2, 2)),
+            DensityOperator(tensor(rho1.matrix, rho2.matrix)),
             Observable(PAULI_Z), Observable(PAULI_X))
         joint = joint_distribution_formula(s)
         da = born_distribution(s.a_obs, rho1)
@@ -140,7 +146,7 @@ class TestOracle:
     def test_product_state_free(self):
         rho1, rho2 = random_density(RNG, 2), random_density(RNG, 2)
         s = EntangledScenario(
-            DensityOperator(tensor(rho1.matrix, rho2.matrix), dims=(2, 2)),
+            DensityOperator(tensor(rho1.matrix, rho2.matrix)),
             Observable(PAULI_Z), Observable(PAULI_X))
         app = LocalApparatusSpec(cnot_qubit_model().model, s.a_obs)
         dev = joint_distribution_formula(s).max_deviation(
@@ -253,7 +259,7 @@ class TestPriorState:
         rho1, rho2 = random_density(RNG, 2), random_density(RNG, 3)
         h2 = random_hermitian(3)
         s = EntangledScenario(
-            DensityOperator(tensor(rho1.matrix, rho2.matrix), dims=(2, 3)),
+            DensityOperator(tensor(rho1.matrix, rho2.matrix)),
             Observable(PAULI_Z), Observable(np.diag([0.0, 1.0, 2.0])),
             h2=h2, t=1.2)
         assert operator_deviation(prior_state(s), evolve(rho2, h2, 1.2)) < 1e-10
@@ -275,7 +281,7 @@ class TestPosteriorState:
     def test_product_state_posterior_equals_prior(self):
         rho1, rho2 = random_density(RNG, 2), random_density(RNG, 2)
         s = EntangledScenario(
-            DensityOperator(tensor(rho1.matrix, rho2.matrix), dims=(2, 2)),
+            DensityOperator(tensor(rho1.matrix, rho2.matrix)),
             Observable(PAULI_Z), Observable(PAULI_X))
         for a in (1.0, -1.0):
             assert operator_deviation(posterior_state(s, a), prior_state(s)) < 1e-10
@@ -296,7 +302,7 @@ class TestPosteriorState:
 
     def test_zero_probability_outcome(self):
         s = EntangledScenario(
-            DensityOperator(tensor(pure(KET_0).matrix, identity(2) / 2), dims=(2, 2)),
+            DensityOperator(tensor(pure(KET_0).matrix, identity(2) / 2)),
             Observable(PAULI_Z), Observable(PAULI_Z))
         with pytest.raises(ZeroProbabilityError):
             posterior_state(s, -1.0)
@@ -337,7 +343,7 @@ class TestBayesMixture:
     def test_product(self):
         rho1, rho2 = random_density(RNG, 2), random_density(RNG, 2)
         s = EntangledScenario(
-            DensityOperator(tensor(rho1.matrix, rho2.matrix), dims=(2, 2)),
+            DensityOperator(tensor(rho1.matrix, rho2.matrix)),
             Observable(PAULI_Z), Observable(PAULI_X))
         assert bayes_mixture_check(s, joint_distribution_formula(s)) < 1e-12
 
@@ -356,9 +362,9 @@ class TestBayesMixture:
 
         monkeypatch.setattr(bayes, "joint_distribution_formula", counted)
         monkeypatch.setattr(checks, "joint_distribution_formula", counted)
-        devs = checks._trial(3, 2, 3)
+        reports = checks._trial(3, 2, 3)
         assert len(calls) == 1
-        assert max(devs) < TOL_OP
+        assert max(r.max_deviation for r in reports) < TOL_OP
 
     def test_posterior_unitary_evolution(self):
         # posterior evolved by h2 for tau reproduces the delayed conditionals

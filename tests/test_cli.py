@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import io
+import itertools
 import json
 import math
 import tempfile
@@ -54,7 +55,7 @@ def cnot_path(tmp_path):
 def bell_scenario_doc() -> dict:
     phi = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
     s = EntangledScenario(
-        DensityOperator(np.outer(phi, phi), dims=(2, 2)),
+        DensityOperator(np.outer(phi, phi)),
         Observable(PAULI_Z), Observable(PAULI_Z))
     return scenario_to_dict(s, apparatus=cnot_qubit_model().model)
 
@@ -266,6 +267,14 @@ class TestReduce:
     def test_outcome_not_in_spectrum(self, cnot_path, capsys):
         assert main(["reduce", cnot_path, "--state", "+", "--outcome", "3"]) == 4
 
+    @pytest.mark.parametrize("outcome", ["nan", "inf", "-inf"])
+    def test_non_finite_outcome(self, cnot_path, capsys, outcome):
+        assert main(["reduce", cnot_path, "--state", "+", f"--outcome={outcome}"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"validation error: outcome {float(outcome)} "
+                                "is not in the spectrum [-1.0, 1.0]\n")
+
     def test_always_prints_json(self, cnot_path, capsys):
         args = ["reduce", cnot_path, "--state", "+", "--outcome", "1"]
         assert main(args) == 0
@@ -302,8 +311,21 @@ class TestEntangled:
         assert doc["formula_oracle_deviation"] < 1e-9
         assert doc["ok"] is False
 
+    def test_swapped_dims_refused(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        s = EntangledScenario(random_density(rng, 6), Observable(PAULI_Z),
+                              random_observable(rng, 3))
+        doc = scenario_to_dict(s)
+        doc["dim1"], doc["dim2"] = doc["dim2"], doc["dim1"]
+        path = tmp_path / "swapped.json"
+        save_json(str(path), doc)
+        assert main(["entangled", str(path), "--json"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "validation error: a_matrix: dimension 2 != dim1 3\n"
+
     def test_product_scenario_flagged_independent(self, tmp_path, capsys):
-        rho = DensityOperator(np.diag([0.25] * 4), dims=(2, 2))
+        rho = DensityOperator(np.diag([0.25] * 4))
         s = EntangledScenario(rho, Observable(PAULI_Z), Observable(PAULI_X))
         path = tmp_path / "product.json"
         save_json(str(path), scenario_to_dict(s))
@@ -314,7 +336,7 @@ class TestEntangled:
     def test_bell_zx_uniform(self, tmp_path, capsys):
         phi = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
         s = EntangledScenario(
-            DensityOperator(np.outer(phi, phi), dims=(2, 2)),
+            DensityOperator(np.outer(phi, phi)),
             Observable(PAULI_Z), Observable(PAULI_X))
         path = tmp_path / "zx.json"
         save_json(str(path), scenario_to_dict(s))
@@ -348,11 +370,19 @@ class TestSweep:
         assert main(["sweep", "--seed", "-1", "--trials", "1", "--dims", "2"]) == 1
         assert capsys.readouterr().err == "usage error: --seed must be >= 0, got -1\n"
 
+    def test_text_report_sums_check_times_over_trials(self, monkeypatch, capsys):
+        ticks = itertools.count()  # a clock that advances 1 ms per reading
+        monkeypatch.setattr(checks.time, "perf_counter", lambda: next(ticks) * 1e-3)
+        assert main(["sweep", "--seed", "7", "--trials", "2", "--dims", "2,3"]) == 0
+        lines = capsys.readouterr().out.splitlines()[:len(checks.SWEEP_CHECKS)]
+        assert [line.rsplit(" (", 1)[1] for line in lines] == ["2.0 ms)"] * len(lines)
+
     def test_nan_deviation_after_a_finite_one_fails(self, monkeypatch, capsys):
         # max(1e-12, nan) is 1e-12: an aggregator built on it would read NaN as a pass
         n = len(checks.SWEEP_CHECKS)
-        monkeypatch.setattr(checks, "_trial", lambda seed, d_obj, d_other:
-                            [1e-12 if seed == 0 else float("nan")] + [0.0] * (n - 1))
+        monkeypatch.setattr(checks, "_trial", lambda seed, d_obj, d_other: [
+            check.report(dev, 1e-9) for check, dev in
+            zip(checks.SWEEP_CHECKS, [1e-12 if seed == 0 else float("nan")] + [0.0] * (n - 1))])
         reports = checks.sweep(0, 2, [2, 3], 1e-9)
         assert math.isnan(reports[0].max_deviation)
         assert not reports[0].passed

@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reductionlab import checks, linalg, measurement
+from reductionlab.bayes import JointDistribution, bayes_condition
 from reductionlab.errors import DimensionMismatchError, ValidationError, ZeroProbabilityError
-from reductionlab.linalg import (TOL_OP, TOL_PROB, dagger, herm_expm, identity, max_abs,
-                                partial_trace, tensor)
+from reductionlab.linalg import (TOL_EIG, TOL_OP, TOL_PROB, dagger, herm_expm, identity,
+                                max_abs, partial_trace, tensor)
 from reductionlab.measurement import (
     MeasurementModel,
     effects,
@@ -22,8 +23,10 @@ from reductionlab.measurement import (
 from reductionlab.quantum import (
     DensityOperator,
     Observable,
+    OutcomeDistribution,
     born_distribution,
     operator_deviation,
+    outcome_index,
     pure,
     random_density,
     spanning_states,
@@ -191,6 +194,62 @@ class TestStateReduction:
                 p = outcome_probability(CNOT, rho).probability(a)
                 terms.append(p * state_reduction(CNOT, rho, a).matrix)
             assert max_abs(terms[0] - lam * terms[1] - (1 - lam) * terms[2]) < TOL_OP
+
+
+AMBIGUOUS = [0.0, 1.5e-8, 1.0]  # a query of 9e-9 lies within TOL_EIG of the first two labels
+
+
+class TestOutcomeLabels:
+    """A label names the outcome nearest it, within TOL_EIG (`quantum.outcome_index`)."""
+
+    def test_within_the_gap_or_nothing(self):
+        assert outcome_index([0.0, 1.0], 1.0 + 0.5 * TOL_EIG) == 1
+        for a in (0.5, 1.0 + 2 * TOL_EIG):
+            with pytest.raises(KeyError):
+                outcome_index([0.0, 1.0], a)
+
+    def test_ambiguous_label_names_the_nearest_outcome(self):
+        obs = Observable(np.diag(AMBIGUOUS))
+        assert obs.eigenvalues == AMBIGUOUS
+        assert outcome_index(AMBIGUOUS, 9e-9) == 1
+        assert max_abs(obs.projection(9e-9) - np.diag([0.0, 1.0, 0.0])) == 0.0
+        dist = OutcomeDistribution({0.0: 0.2, 1.5e-8: 0.3, 1.0: 0.5})
+        assert dist.probability(9e-9) == 0.3
+        joint = JointDistribution({(0.0, 0.0): 0.2, (0.0, 1.0): 0.0, (1.5e-8, 0.0): 0.1,
+                                   (1.5e-8, 1.0): 0.2, (1.0, 0.0): 0.25, (1.0, 1.0): 0.25})
+        assert bayes_condition(joint, 9e-9).entries == bayes_condition(joint, 1.5e-8).entries
+        model = controlled_shift_model(obs).model
+        rho = pure(np.ones(3))
+        assert operator_deviation(state_reduction(model, rho, 9e-9),
+                                  pure(np.array([0.0, 1.0, 0.0]))) < 1e-12
+
+    @pytest.mark.parametrize("a", [np.nan, np.inf, -np.inf])
+    def test_non_finite_label_names_no_outcome(self, a):
+        obs = Observable(np.diag(AMBIGUOUS))
+        dist = OutcomeDistribution({0.0: 0.2, 1.5e-8: 0.3, 1.0: 0.5})
+        model = controlled_shift_model(obs).model
+        for lookup in (lambda a: outcome_index(AMBIGUOUS, a), obs.projection, dist.probability,
+                       lambda a: state_reduction(model, pure(np.ones(3)), a)):
+            with pytest.raises(KeyError):
+                lookup(a)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           gaps=st.lists(st.sampled_from([0.5, 0.99, 1.01, 2.0]), min_size=1, max_size=4))
+    def test_eigenvalue_chain_near_the_clustering_gap(self, seed, gaps):
+        rng = np.random.default_rng(seed)
+        values = 1.0 + TOL_EIG * np.cumsum([0.0] + gaps)
+        d = len(values)
+        v = haar_unitary(rng, d)
+        obs = Observable(v @ np.diag(values) @ dagger(v))
+        labels = obs.eigenvalues
+        assert len(labels) == 1 + sum(g > 1 for g in gaps)
+        assert [outcome_index(labels, a) for a in labels] == list(range(len(labels)))
+        assert max_abs(sum(proj for _, proj in obs.spectrum) - identity(d)) <= TOL_OP
+        model = controlled_shift_model(obs).model
+        for _ in range(3):
+            rho = random_density(rng, d)
+            assert mixture_identity_check(model, rho, reductions(model, rho)) <= TOL_OP
 
 
 class TestMixtureIdentity:

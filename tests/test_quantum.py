@@ -46,10 +46,6 @@ class TestTypes:
         with pytest.raises(ValidationError):
             DensityOperator(identity(2))
 
-    def test_density_dims_must_be_consistent(self):
-        with pytest.raises(DimensionMismatchError):
-            DensityOperator(identity(4) / 4, dims=(2, 3))
-
     def test_distribution_rejects_unnormalized(self):
         with pytest.raises(ValidationError):
             OutcomeDistribution({0.0: 0.3, 1.0: 0.3})
@@ -147,21 +143,21 @@ class TestRule1Distribution:
 
 
 class TestReducedState:
-    """The reduced state Tr_2[rho] of an annotated two-factor state, by partial_trace."""
+    """The reduced state Tr_2[rho] of a two-factor state, by partial_trace."""
 
     def test_product_state(self):
         rho1, rho2 = random_density(RNG, 2), random_density(RNG, 3)
-        joint = DensityOperator(tensor(rho1.matrix, rho2.matrix), dims=(2, 3))
-        assert operator_deviation(partial_trace(joint.matrix, joint.dims, [0]), rho1) < 1e-12
+        joint = DensityOperator(tensor(rho1.matrix, rho2.matrix))
+        assert operator_deviation(partial_trace(joint.matrix, (2, 3), [0]), rho1) < 1e-12
 
     def test_bell_state(self):
         phi = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-        bell = DensityOperator(np.outer(phi, phi), dims=(2, 2))
-        assert max_abs(partial_trace(bell.matrix, bell.dims, [0]) - identity(2) / 2) < 1e-12
+        bell = DensityOperator(np.outer(phi, phi))
+        assert max_abs(partial_trace(bell.matrix, (2, 2), [0]) - identity(2) / 2) < 1e-12
 
     def test_adjointness(self):
-        rho = DensityOperator(random_density(RNG, 4).matrix, dims=(2, 2))
-        red = partial_trace(rho.matrix, rho.dims, [0])
+        rho = random_density(RNG, 4)
+        red = partial_trace(rho.matrix, (2, 2), [0])
         for _ in range(20):
             x = random_hermitian(2)
             lhs = np.trace(tensor(x, identity(2)) @ rho.matrix)
@@ -170,11 +166,11 @@ class TestReducedState:
 
     def test_local_evolution_commutes_with_reduction(self):
         # no-interaction case: evolve then reduce == reduce then evolve
-        rho = DensityOperator(random_density(RNG, 6).matrix, dims=(2, 3))
+        rho = random_density(RNG, 6)
         h1, h2 = random_hermitian(2), random_hermitian(3)
         h12 = tensor(h1, identity(3)) + tensor(identity(2), h2)
-        lhs = partial_trace(evolve(rho, h12, 0.6).matrix, rho.dims, [0])
-        rhs = evolve(DensityOperator(partial_trace(rho.matrix, rho.dims, [0])), h1, 0.6)
+        lhs = partial_trace(evolve(rho, h12, 0.6).matrix, (2, 3), [0])
+        rhs = evolve(DensityOperator(partial_trace(rho.matrix, (2, 3), [0])), h1, 0.6)
         assert operator_deviation(lhs, rhs) < TOL_OP
 
 

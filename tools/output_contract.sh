@@ -1,0 +1,58 @@
+#!/bin/sh
+# Record the CLI's output contract: stdout, stderr and exit code of a fixed
+# set of commands, run against the source tree this script sits in.
+#
+#   tools/output_contract.sh OUTDIR
+#
+# OUTDIR/inputs holds the exported zoo and the Bell/CNOT scenario, and
+# OUTDIR/NAME.out, NAME.err and NAME.code each command's results.  Two
+# checkouts give the same answers when `diff -r OUT_A OUT_B` prints nothing.
+set -eu
+
+out=${1:?usage: tools/output_contract.sh OUTDIR}
+root=$(cd "$(dirname "$0")/.." && pwd)
+export PYTHONPATH="$root/src"
+mkdir -p "$out/inputs"
+zoo="$out/inputs/zoo"
+
+python3 -m reductionlab.cli export-zoo "$zoo" > /dev/null
+# Bell state, Z on both sides, no free evolution, the CNOT model as apparatus
+python3 - "$zoo/cnot.json" "$out/inputs/bell.json" <<'EOF'
+import json
+import sys
+
+half = [0.5, 0.0]
+zero = [0.0, 0.0]
+z = [[1.0, 0.0], zero, zero, [-1.0, 0.0]]
+with open(sys.argv[1], encoding="utf-8") as fh:
+    apparatus = json.load(fh)
+doc = {"format_version": "1", "dim1": 2, "dim2": 2,
+       "rho12": [half, zero, zero, half] + [zero] * 8 + [half, zero, zero, half],
+       "a_matrix": z, "x_matrix": z, "h1": [zero] * 4, "h2": [zero] * 4,
+       "t": 0.0, "tau": 0.0, "apparatus": apparatus}
+with open(sys.argv[2], "w", encoding="utf-8") as fh:
+    json.dump(doc, fh, indent=1)
+    fh.write("\n")
+EOF
+
+run() {
+    name=$1
+    shift
+    code=0
+    python3 -m reductionlab.cli "$@" > "$out/$name.out" 2> "$out/$name.err" || code=$?
+    echo "$code" > "$out/$name.code"
+}
+
+for model in cnot swap_replace controlled_shift controlled_shift_degenerate random_indirect_42; do
+    run "verify-$model" verify "$zoo/$model.json" --json
+    run "verify-$model-tol" verify "$zoo/$model.json" --json --tolerance 1e-3
+done
+run sweep-42 sweep --json --seed 42 --trials 30 --dims 2..4
+run sweep-7 sweep --json --seed 7 --trials 2 --dims 6,8
+run entangled-json entangled "$out/inputs/bell.json" --json
+run entangled-text entangled "$out/inputs/bell.json"
+run reduce-cnot-plus reduce "$zoo/cnot.json" --state + --outcome 1
+run reduce-swap-plus reduce "$zoo/swap_replace.json" --state + --outcome -1
+run reduce-degenerate-mixed reduce "$zoo/controlled_shift_degenerate.json" --state mixed --outcome 0
+run reduce-not-an-outcome reduce "$zoo/cnot.json" --state + --outcome 0.5
+run reduce-zero-probability reduce "$zoo/cnot.json" --state 0 --outcome -1
