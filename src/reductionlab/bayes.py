@@ -8,11 +8,14 @@ states of the distant subsystem.  The pair's two factors are those of the
 observables measured on it.
 
 The oracle stays the literal three-factor simulation on H1 (x) HA (x) H2
-and shares no structure with the formula: it diagonalizes the full free
-Hamiltonian, never its local factors.  Its contractions are ordered to be
-cheap: one eigendecomposition serves both free evolutions, U acts on the
-(S1, A) index by reshaped products, and S1 is traced out once before the
-joint readout on the (A, S2) block.
+and shares no structure with the formula.  The apparatus is idle between
+measurements (its Hamiltonian is zero), so the free evolution acts on the
+pair alone: the oracle diagonalizes the pair Hamiltonian
+h12 = h1 (x) 1 + 1 (x) h2, never h1 or h2 alone.  Its contractions run in
+this order: rho12 evolves to t on the pair, the product with sigma is
+formed, U acts on the (S1, A) index and the tau evolution on the (S1, S2)
+index by reshaped products, and S1 is traced out once before the joint
+readout on the (S2, A) block.
 """
 
 from __future__ import annotations
@@ -70,7 +73,8 @@ class EntangledScenario:
             scale.append(float(np.max(np.abs(w))))
         if not (0.0 <= t < math.inf and 0.0 <= tau < math.inf):  # also rejects NaN
             raise ValidationError("times must be finite and nonnegative")
-        # every phase w * time that an evolution below forms, the oracle's free one included
+        # every phase w * time that an evolution below forms; the oracle's pair
+        # evolution has max|eigenvalue of h12| <= w1 + w2 and runs for t and for tau
         w1, w2 = scale
         for field, w_max, time, value in (("h1", w1, "t", t), ("h2", w2, "t + tau", t + tau),
                                           ("h1 + h2", w1 + w2, "max(t, tau)", max(t, tau))):
@@ -146,19 +150,25 @@ def joint_distribution_formula(s: EntangledScenario) -> JointDistribution:
 def joint_distribution_oracle(s: EntangledScenario, app: LocalApparatusSpec) -> JointDistribution:
     """Brute-force joint distribution via the full three-factor dynamics.
 
-    Builds rho12 (x) sigma on H1 (x) HA (x) H2, evolves freely to time t
-    (apparatus Hamiltonian zero), applies the interaction unitary extended
-    as U (x) 1, evolves freely by tau, then reads the commuting projections
-    E^B(a) on the apparatus and E^X(x) on subsystem 2 jointly.  No
-    projection postulate anywhere.
+    Evolves the pair freely to time t, forms the product with sigma on
+    H1 (x) HA (x) H2, applies the interaction unitary extended as U (x) 1,
+    evolves freely by tau, then reads the commuting projections E^B(a) on
+    the apparatus and E^X(x) on subsystem 2 jointly.  No projection
+    postulate anywhere.
 
     The simulation stays literal; only its contractions are cheap.  The
-    full free Hamiltonian is diagonalized once, not factored into local
-    evolutions, and both free evolutions are built from that one
-    eigendecomposition.  U acts on the (S1, A) index of rows and columns
-    by reshaped products, without forming U (x) 1.  S1 is traced out once
-    before the readout, and each (a, x) is read on the (A, S2) block as
-    Tr[(E^B(a) (x) E^X(x)) block] without forming the projection.
+    apparatus Hamiltonian is zero, so the free evolution is
+    e^{-i h12 time} (x) 1_A with the pair Hamiltonian
+    h12 = h1 (x) 1 + 1 (x) h2, which is diagonalized once and never
+    factored into local evolutions; both free evolutions are built from
+    that one eigendecomposition.  The state is still a product at time t,
+    so rho12 is evolved on the pair alone before the product with sigma
+    is formed.  U then acts on the (S1, A) index of rows and columns by
+    reshaped products, without forming U (x) 1, and the tau evolution
+    acts the same way on the (S1, S2) index, with A a spectator.  S1 is
+    traced out once before the readout, and each (a, x) is read on the
+    (S2, A) block as Tr[(E^X(x) (x) E^B(a)) block] without forming the
+    projection.
     """
     model = app.model
     d1, d2 = s.dims
@@ -167,28 +177,30 @@ def joint_distribution_oracle(s: EntangledScenario, app: LocalApparatusSpec) -> 
         raise DimensionMismatchError(
             f"apparatus object dim {model.object_dim} != subsystem-1 dim {d1}"
         )
-    n1a = d1 * da
+    n1a, n12 = d1 * da, d1 * d2
     n = n1a * d2
+    w, v = np.linalg.eigh(tensor(s.h1, identity(d2)) + tensor(identity(d1), s.h2))
+
+    def pair_evolution(time):
+        return (v * np.exp(-1j * w * time)) @ dagger(v)
+
+    u = pair_evolution(s.t)
     # (S1, S2, A) -> (S1, A, S2)
-    full = tensor(s.rho12.matrix, model.sigma.matrix)
+    full = tensor(u @ s.rho12.matrix @ dagger(u), model.sigma.matrix)
     full = permute_factors(full, (d1, d2, da), (0, 2, 1))
-    h_free = tensor(s.h1, identity(da), identity(d2)) + tensor(identity(d1), identity(da), s.h2)
-    w, v = np.linalg.eigh(h_free)
-
-    def evolve_freely(state, time):
-        u = (v * np.exp(-1j * w * time)) @ dagger(v)
-        return u @ state @ dagger(u)
-
-    full = evolve_freely(full, s.t)
     # (U (x) 1) full (U (x) 1)^dag: U on the row index, then conj(U) on the column index
     full = (model.u @ full.reshape(n1a, d2 * n)).reshape(n, n1a, d2)
     full = (model.u.conj() @ full).reshape(n, n)
-    full = evolve_freely(full, s.tau)
-    block = partial_trace(full, (d1, da, d2), [1, 2]).reshape(da, d2, da, d2)
+    # (S1, A, S2) -> (S1, S2, A); u12(tau) (x) 1_A the same way on the (S1, S2) index
+    full = permute_factors(full, (d1, da, d2), (0, 2, 1))
+    u = pair_evolution(s.tau)
+    full = (u @ full.reshape(n12, da * n)).reshape(n, n12, da)
+    full = (u.conj() @ full).reshape(n, n)
+    block = partial_trace(full, (d1, d2, da), [1, 2]).reshape(d2, da, d2, da)
     entries = {}
     for a in model.outcomes():
-        # Tr_A[(E^B(a) (x) 1) block], an operator on S2
-        selected = np.einsum("ij,jxiy->xy", model.probe_projection(a), block)
+        # Tr_A[(1 (x) E^B(a)) block], an operator on S2
+        selected = np.einsum("ij,xjyi->xy", model.probe_projection(a), block)
         for x, ex in s.x_obs.spectrum:
             entries[(a, x)] = float(np.einsum("ij,ji->", ex, selected).real)
     return JointDistribution(entries)

@@ -60,6 +60,15 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
+    def _parse_optional(self, arg_string):
+        # argparse reads a word such as -1e-3 or -inf as an option name, so
+        # `--outcome -inf` would lose its value; no option here is a number
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")

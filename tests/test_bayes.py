@@ -215,6 +215,8 @@ REFERENCE_CASES = {
     "shift-d1-3-dapp-4": (_shift_apparatus, 3, 2, None, 0.8, 1.1),
     "indirect-2-3-d2-2": (_indirect_apparatus(3), 2, 2, None, 1.3, 0.4),
     "indirect-2-3-d2-4": (_indirect_apparatus(3), 2, 4, None, 0.6, 1.7),
+    # d_app == d2: an evolution applied on A instead of S2 fails by value, not by shape
+    "indirect-2-3-d2-3": (_indirect_apparatus(3), 2, 3, None, 0.7, 1.2),
     "indirect-3-3-d2-2": (_indirect_apparatus(3), 3, 2, None, 1.9, 0.2),
     "indirect-3-3-d2-4": (_indirect_apparatus(3), 3, 4, None, 0.3, 1.5),
     "degenerate-x": (_indirect_apparatus(3), 2, 4, 2, 1.2, 0.9),
@@ -223,20 +225,39 @@ REFERENCE_CASES = {
 }
 
 
+def reference_case(case):
+    make_apparatus, d1, d2, x_outcomes, t, tau = case
+    rng = np.random.default_rng(d1 * 100 + d2 * 10 + (x_outcomes or 0))
+    model = make_apparatus(rng, d1)
+    s = random_scenario(rng, d1, d2, model.measured, x_outcomes, t, tau)
+    if x_outcomes is not None:
+        assert len(s.x_obs.spectrum) < d2
+    return s, LocalApparatusSpec(model, s.a_obs)
+
+
 class TestOracleAgainstLiteral:
     @pytest.mark.parametrize("case", REFERENCE_CASES.values(), ids=REFERENCE_CASES.keys())
     def test_matches_entry_by_entry(self, case):
-        make_apparatus, d1, d2, x_outcomes, t, tau = case
-        rng = np.random.default_rng(d1 * 100 + d2 * 10 + (x_outcomes or 0))
-        model = make_apparatus(rng, d1)
-        s = random_scenario(rng, d1, d2, model.measured, x_outcomes, t, tau)
-        if x_outcomes is not None:
-            assert len(s.x_obs.spectrum) < d2
-        app = LocalApparatusSpec(model, s.a_obs)
+        s, app = reference_case(case)
         new, ref = joint_distribution_oracle(s, app), literal_oracle(s, app)
         assert sorted(new.entries) == sorted(ref.entries)
         for key, p in ref.entries.items():
             assert abs(new.entries[key] - p) <= 1e-12, key
+
+    @pytest.mark.parametrize("case", REFERENCE_CASES.values(), ids=REFERENCE_CASES.keys())
+    def test_diagonalizes_only_the_pair(self, case, monkeypatch):
+        s, app = reference_case(case)
+        d1, d2 = s.dims
+        sizes = []
+        eigh = bayes.np.linalg.eigh
+
+        def recording_eigh(m, *args, **kwargs):
+            sizes.append(np.shape(m)[0])
+            return eigh(m, *args, **kwargs)
+
+        monkeypatch.setattr(bayes.np.linalg, "eigh", recording_eigh)
+        joint_distribution_oracle(s, app)
+        assert max(sizes) == d1 * d2, sizes
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), d1=st.integers(2, 3), extra=st.integers(0, 1),

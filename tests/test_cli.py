@@ -275,6 +275,14 @@ class TestReduce:
         assert captured.err == (f"validation error: outcome {float(outcome)} "
                                 "is not in the spectrum [-1.0, 1.0]\n")
 
+    @pytest.mark.parametrize("outcome, code", [("-1e-3", 4), ("-inf", 4), ("-1", 0)])
+    def test_negative_outcome_as_separate_word(self, cnot_path, capsys, outcome, code):
+        args = ["reduce", cnot_path, "--state", "+"]
+        assert main(args + [f"--outcome={outcome}"]) == code
+        joined = capsys.readouterr()
+        assert main(args + ["--outcome", outcome]) == code
+        assert capsys.readouterr() == joined
+
     def test_always_prints_json(self, cnot_path, capsys):
         args = ["reduce", cnot_path, "--state", "+", "--outcome", "1"]
         assert main(args) == 0

@@ -4,9 +4,10 @@
 #
 #   tools/output_contract.sh OUTDIR
 #
-# OUTDIR/inputs holds the exported zoo and the Bell/CNOT scenario, and
-# OUTDIR/NAME.out, NAME.err and NAME.code each command's results.  Two
-# checkouts give the same answers when `diff -r OUT_A OUT_B` prints nothing.
+# OUTDIR/inputs holds the exported zoo, the Bell/CNOT scenario and a scenario
+# with free evolution, and OUTDIR/NAME.out, NAME.err and NAME.code each
+# command's results.  Two checkouts give the same answers when
+# `diff -r OUT_A OUT_B` prints nothing.
 set -eu
 
 out=${1:?usage: tools/output_contract.sh OUTDIR}
@@ -35,6 +36,35 @@ with open(sys.argv[2], "w", encoding="utf-8") as fh:
     fh.write("\n")
 EOF
 
+# Free evolution on both sides (nonzero h1, h2, t and tau), a 3-level object
+# measured through a 4-level apparatus, a qubit partner
+python3 - "$out/inputs/free.json" <<'EOF'
+import json
+import sys
+
+import numpy as np
+
+from reductionlab.bayes import EntangledScenario
+from reductionlab.modelio import scenario_to_dict
+from reductionlab.quantum import random_density
+from reductionlab.zoo import random_indirect_model, random_observable
+
+rng = np.random.default_rng(11)
+
+
+def hermitian(d):
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return (g + g.conj().T) / 2
+
+
+model = random_indirect_model(3, 3, 4).model
+s = EntangledScenario(random_density(rng, 6), model.measured, random_observable(rng, 2),
+                      h1=hermitian(3), h2=hermitian(2), t=0.7, tau=1.3)
+with open(sys.argv[1], "w", encoding="utf-8") as fh:
+    json.dump(scenario_to_dict(s, apparatus=model), fh, indent=1)
+    fh.write("\n")
+EOF
+
 run() {
     name=$1
     shift
@@ -51,6 +81,7 @@ run sweep-42 sweep --json --seed 42 --trials 30 --dims 2..4
 run sweep-7 sweep --json --seed 7 --trials 2 --dims 6,8
 run entangled-json entangled "$out/inputs/bell.json" --json
 run entangled-text entangled "$out/inputs/bell.json"
+run entangled-free-json entangled "$out/inputs/free.json" --json
 run reduce-cnot-plus reduce "$zoo/cnot.json" --state + --outcome 1
 run reduce-swap-plus reduce "$zoo/swap_replace.json" --state + --outcome -1
 run reduce-degenerate-mixed reduce "$zoo/controlled_shift_degenerate.json" --state mixed --outcome 0
