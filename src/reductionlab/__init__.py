@@ -9,7 +9,6 @@ Bayes prior/posterior states against brute-force oracles.
 from .bayes import (
     EntangledScenario,
     JointDistribution,
-    LocalApparatusSpec,
     bayes_condition,
     bayes_mixture_check,
     joint_distribution_formula,

@@ -8,9 +8,11 @@ states of the distant subsystem.  The pair's two factors are those of the
 observables measured on it.
 
 The oracle stays the literal three-factor simulation on H1 (x) HA (x) H2
-and shares no structure with the formula.  The apparatus is idle between
-measurements (its Hamiltonian is zero), so the free evolution acts on the
-pair alone: the oracle diagonalizes the pair Hamiltonian
+and shares no structure with the formula.  Its apparatus is a
+`MeasurementModel`, which it checks first: the model must measure the
+scenario's A and satisfy the measuring condition.  The apparatus is idle
+between measurements (its Hamiltonian is zero), so the free evolution acts
+on the pair alone: the oracle diagonalizes the pair Hamiltonian
 h12 = h1 (x) 1 + 1 (x) h2, never h1 or h2 alone.  Its contractions run in
 this order: rho12 evolves to t on the pair, the product with sigma is
 formed, U acts on the (S1, A) index and the tau evolution on the (S1, S2)
@@ -94,22 +96,6 @@ class EntangledScenario:
         return self.a_obs.dim, self.x_obs.dim
 
 
-class LocalApparatusSpec:
-    """An apparatus model for the first subsystem's observable, used by the oracle.
-
-    The model's interaction acts on H1 (x) HA only, so its extension to the
-    full space commutes with every observable of subsystem 2.
-    """
-
-    def __init__(self, model: MeasurementModel, a_obs: Observable):
-        if operator_deviation(model.measured.matrix, a_obs.matrix) > TOL_OP:
-            raise ValidationError("apparatus model does not target the scenario's observable")
-        dev = verify_measures(model)
-        if not dev <= TOL_OP:  # also refuses a NaN deviation
-            raise ValidationError(f"apparatus model fails the measuring condition (deviation {dev})")
-        self.model = model
-
-
 class JointDistribution(Distribution):
     """Map from (a, x) outcome pairs to probability."""
 
@@ -147,8 +133,14 @@ def joint_distribution_formula(s: EntangledScenario) -> JointDistribution:
     return JointDistribution(entries)
 
 
-def joint_distribution_oracle(s: EntangledScenario, app: LocalApparatusSpec) -> JointDistribution:
+def joint_distribution_oracle(s: EntangledScenario, model: MeasurementModel) -> JointDistribution:
     """Brute-force joint distribution via the full three-factor dynamics.
+
+    `model` is the local apparatus for the first subsystem.  It is refused
+    (ValidationError) when its measured observable is not the scenario's A,
+    and then when it fails the measuring condition, both at TOL_OP.  Its
+    interaction acts on H1 (x) HA only, so its extension to the full space
+    commutes with every observable of subsystem 2.
 
     Evolves the pair freely to time t, forms the product with sigma on
     H1 (x) HA (x) H2, applies the interaction unitary extended as U (x) 1,
@@ -170,13 +162,13 @@ def joint_distribution_oracle(s: EntangledScenario, app: LocalApparatusSpec) -> 
     (S2, A) block as Tr[(E^X(x) (x) E^B(a)) block] without forming the
     projection.
     """
-    model = app.model
+    if operator_deviation(model.measured.matrix, s.a_obs.matrix) > TOL_OP:
+        raise ValidationError("apparatus model does not target the scenario's observable")
+    dev = verify_measures(model)
+    if not dev <= TOL_OP:  # also refuses a NaN deviation
+        raise ValidationError(f"apparatus model fails the measuring condition (deviation {dev})")
     d1, d2 = s.dims
     da = model.apparatus_dim
-    if model.object_dim != d1:
-        raise DimensionMismatchError(
-            f"apparatus object dim {model.object_dim} != subsystem-1 dim {d1}"
-        )
     n1a, n12 = d1 * da, d1 * d2
     n = n1a * d2
     w, v = np.linalg.eigh(tensor(s.h1, identity(d2)) + tensor(identity(d1), s.h2))

@@ -17,9 +17,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bayes import (EntangledScenario, LocalApparatusSpec, bayes_conditionals,
-                    bayes_mixture_check, joint_distribution_formula, joint_distribution_oracle,
-                    posterior_state)
+from .bayes import (EntangledScenario, bayes_conditionals, bayes_mixture_check,
+                    joint_distribution_formula, joint_distribution_oracle, posterior_state)
 from .linalg import TOL_OP, TOL_PROB, dagger, identity, max_abs
 from .measurement import (effects, mixture_identity_check, reductions,
                           satisfies_projection_postulate, state_reduction_sandwiched,
@@ -149,9 +148,8 @@ def _trial(seed: int, d_obj: int, d_other: int) -> list[Report]:
         t=float(rng.uniform(0.1, 2.0)),
         tau=float(rng.uniform(0.0, 2.0)),
     )
-    apparatus = LocalApparatusSpec(model, scenario.a_obs)
     formula = joint_distribution_formula(scenario)
-    oracle = joint_distribution_oracle(scenario, apparatus)
+    oracle = joint_distribution_oracle(scenario, model)
     return reports + [check.run(TOL_OP, scenario, formula, oracle) for check in SCENARIO_CHECKS]
 
 

@@ -61,13 +61,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
     def _parse_optional(self, arg_string):
-        # argparse reads a word such as -1e-3 or -inf as an option name, so
-        # `--outcome -inf` would lose its value; no option here is a number
-        try:
-            float(arg_string)
-        except ValueError:
-            return super()._parse_optional(arg_string)
-        return None
+        # a word that names no option here is a value, so `--state -i` and
+        # `--outcome -inf` keep theirs; argparse would read either as an option.
+        # argparse gives one (action, ...) tuple, from Python 3.12.7 a list of them
+        parsed = super()._parse_optional(arg_string)
+        action = parsed and (parsed[0][0] if isinstance(parsed, list) else parsed[0])
+        return parsed if action else None
 
 
 def _fmt(x: float) -> str:

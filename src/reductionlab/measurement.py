@@ -54,7 +54,6 @@ from .linalg import (
     TOL_PROB,
     as_matrix,
     dagger,
-    is_hermitian,
     is_unitary,
     max_abs,
     tensor,
@@ -77,8 +76,7 @@ class MeasurementModel:
     sorted eigenvalue order, so probe and measured spectra must agree.
     """
 
-    def __init__(self, sigma: DensityOperator, u, probe: Observable,
-                 measured: Observable, object_hamiltonian=None):
+    def __init__(self, sigma: DensityOperator, u, probe: Observable, measured: Observable):
         um = as_matrix(u)
         if not is_unitary(um):
             raise ValidationError("u must be unitary")
@@ -101,18 +99,10 @@ class MeasurementModel:
             raise ValidationError(
                 f"probe spectrum {eb} does not match measured spectrum {ea}"
             )
-        if object_hamiltonian is None:
-            object_hamiltonian = np.zeros((self.object_dim, self.object_dim), dtype=complex)
-        hm = as_matrix(object_hamiltonian)
-        if hm.shape[0] != self.object_dim:
-            raise DimensionMismatchError("object hamiltonian dimension mismatch")
-        if not is_hermitian(hm):
-            raise ValidationError("object hamiltonian must be Hermitian")
         self.sigma = sigma
         self.u = um
         self.probe = probe
         self.measured = measured
-        self.object_hamiltonian = hm
 
     def outcomes(self) -> list[float]:
         """Canonical outcome labels: the measured observable's clustered eigenvalues."""

@@ -1,8 +1,12 @@
 """JSON model and scenario files.
 
 Format version "1": complex numbers are two-element [re, im] arrays,
-matrices are flat row-major lists of such pairs.  A scenario's dim1 and
-dim2 are the dimensions of its a_matrix and x_matrix.
+matrices are flat row-major lists of such pairs.  A model file may carry
+an `object_hamiltonian`; it is checked for shape and hermiticity and then
+dropped, since a model is (sigma, U, B, A) and is never written with one.
+A scenario's dim1 and dim2 are the dimensions of its a_matrix and
+x_matrix; its optional `apparatus` is a model, returned as it is and
+checked against the scenario by `bayes.joint_distribution_oracle`.
 """
 
 from __future__ import annotations
@@ -13,8 +17,9 @@ import sys
 
 import numpy as np
 
-from .bayes import EntangledScenario, LocalApparatusSpec
+from .bayes import EntangledScenario
 from .errors import DimensionMismatchError, ParseError, ValidationError
+from .linalg import is_hermitian
 from .measurement import MeasurementModel
 from .quantum import DensityOperator, Observable
 
@@ -93,7 +98,6 @@ def model_to_dict(model: MeasurementModel) -> dict:
         "u": matrix_to_pairs(model.u),
         "a_matrix": matrix_to_pairs(model.measured.matrix),
         "b_matrix": matrix_to_pairs(model.probe.matrix),
-        "object_hamiltonian": matrix_to_pairs(model.object_hamiltonian),
     }
 
 
@@ -103,27 +107,28 @@ def model_from_dict(doc: dict) -> MeasurementModel:
     _check_version(doc)
     object_dim = _int_field(doc, "object_dim")
     apparatus_dim = _int_field(doc, "apparatus_dim")
-    mats = {field: _matrix(doc, field)
-            for field in ("sigma", "u", "a_matrix", "b_matrix", "object_hamiltonian")}
     expected = {
         "sigma": apparatus_dim,
         "u": object_dim * apparatus_dim,
         "a_matrix": object_dim,
         "b_matrix": apparatus_dim,
-        "object_hamiltonian": object_dim,
+        "object_hamiltonian": object_dim,  # optional: checked, then dropped
     }
-    for field, dim in expected.items():
-        if mats[field].shape[0] != dim:
-            raise ParseError(
-                f"{field}: expected a {dim}x{dim} matrix, got {mats[field].shape[0]}x{mats[field].shape[0]}"
-            )
-    return MeasurementModel(
+    mats = {field: _matrix(doc, field) for field in expected
+            if field != "object_hamiltonian" or field in doc}
+    for field, m in mats.items():
+        dim = expected[field]
+        if len(m) != dim:
+            raise ParseError(f"{field}: expected a {dim}x{dim} matrix, got {len(m)}x{len(m)}")
+    model = MeasurementModel(
         sigma=_validated("sigma", DensityOperator, mats["sigma"]),
         u=mats["u"],
         probe=_validated("b_matrix", Observable, mats["b_matrix"]),
         measured=_validated("a_matrix", Observable, mats["a_matrix"]),
-        object_hamiltonian=mats["object_hamiltonian"],
     )
+    if "object_hamiltonian" in mats and not is_hermitian(mats["object_hamiltonian"]):
+        raise ValidationError("object_hamiltonian: must be Hermitian")
+    return model
 
 
 def scenario_to_dict(s: EntangledScenario, apparatus: MeasurementModel | None = None) -> dict:
@@ -144,7 +149,7 @@ def scenario_to_dict(s: EntangledScenario, apparatus: MeasurementModel | None = 
     return doc
 
 
-def scenario_from_dict(doc: dict) -> tuple[EntangledScenario, LocalApparatusSpec | None]:
+def scenario_from_dict(doc: dict) -> tuple[EntangledScenario, MeasurementModel | None]:
     if not isinstance(doc, dict):
         raise ParseError("scenario document must be a JSON object")
     _check_version(doc)
@@ -164,10 +169,7 @@ def scenario_from_dict(doc: dict) -> tuple[EntangledScenario, LocalApparatusSpec
     h1, h2 = _matrix(doc, "h1"), _matrix(doc, "h2")
     t, tau = _number_field(doc, "t"), _number_field(doc, "tau")
     scenario = EntangledScenario(rho, a_obs, x_obs, h1=h1, h2=h2, t=t, tau=tau)
-    apparatus = None
-    if "apparatus" in doc:
-        apparatus = LocalApparatusSpec(model_from_dict(doc["apparatus"]), a_obs)
-    return scenario, apparatus
+    return scenario, model_from_dict(doc["apparatus"]) if "apparatus" in doc else None
 
 
 def load_json(path: str) -> dict:

@@ -10,7 +10,6 @@ import pytest
 
 from reductionlab.bayes import (
     EntangledScenario,
-    LocalApparatusSpec,
     bayes_condition,
     bayes_mixture_check,
     joint_distribution_formula,
@@ -161,25 +160,23 @@ def test_criterion_5_local_measurement_theorem():
     worst = 0.0
     # exact Bell/Pauli fixtures
     bell_zz = _bell_scenario(PAULI_Z)
-    app = LocalApparatusSpec(cnot_qubit_model().model, bell_zz.a_obs)
     jf = joint_distribution_formula(bell_zz)
     assert jf.entries[(1.0, 1.0)] == pytest.approx(0.5, abs=1e-12)
     assert jf.entries[(-1.0, -1.0)] == pytest.approx(0.5, abs=1e-12)
     assert jf.entries[(1.0, -1.0)] == pytest.approx(0.0, abs=1e-12)
-    worst = max(worst, jf.total_variation(joint_distribution_oracle(bell_zz, app)))
+    worst = max(worst, jf.total_variation(
+        joint_distribution_oracle(bell_zz, cnot_qubit_model().model)))
     bell_zx = _bell_scenario(PAULI_X)
     jf = joint_distribution_formula(bell_zx)
     for p in jf.entries.values():
         assert p == pytest.approx(0.25, abs=1e-12)
     worst = max(worst, jf.total_variation(
-        joint_distribution_oracle(bell_zx, LocalApparatusSpec(
-            cnot_qubit_model().model, bell_zx.a_obs))))
+        joint_distribution_oracle(bell_zx, cnot_qubit_model().model)))
     # 30 random scenarios x 3 apparatus families
     count = 0
     for scenario, model in _scenario_sweep():
-        app = LocalApparatusSpec(model, scenario.a_obs)
         tv = joint_distribution_formula(scenario).total_variation(
-            joint_distribution_oracle(scenario, app))
+            joint_distribution_oracle(scenario, model))
         worst = max(worst, tv)
         count += 1
     assert count == 90

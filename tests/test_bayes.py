@@ -7,7 +7,6 @@ from reductionlab import bayes, checks
 from reductionlab.bayes import (
     EntangledScenario,
     JointDistribution,
-    LocalApparatusSpec,
     bayes_condition,
     bayes_mixture_check,
     joint_distribution_formula,
@@ -26,6 +25,7 @@ from reductionlab.linalg import (
     permute_factors,
     tensor,
 )
+from reductionlab.measurement import MeasurementModel
 from reductionlab.quantum import (
     DensityOperator,
     Observable,
@@ -138,9 +138,8 @@ class TestJointFormula:
 class TestOracle:
     def test_bell_zz_with_cnot_apparatus(self):
         s = EntangledScenario(bell_state(), Observable(PAULI_Z), Observable(PAULI_Z))
-        app = LocalApparatusSpec(cnot_qubit_model().model, s.a_obs)
         dev = joint_distribution_formula(s).max_deviation(
-            joint_distribution_oracle(s, app))
+            joint_distribution_oracle(s, cnot_qubit_model().model))
         assert dev < 1e-9
 
     def test_product_state_free(self):
@@ -148,18 +147,21 @@ class TestOracle:
         s = EntangledScenario(
             DensityOperator(tensor(rho1.matrix, rho2.matrix)),
             Observable(PAULI_Z), Observable(PAULI_X))
-        app = LocalApparatusSpec(cnot_qubit_model().model, s.a_obs)
         dev = joint_distribution_formula(s).max_deviation(
-            joint_distribution_oracle(s, app))
+            joint_distribution_oracle(s, cnot_qubit_model().model))
         assert dev < 1e-9
 
-    def test_rejects_unverified_apparatus(self):
-        s = EntangledScenario(bell_state(), Observable(PAULI_Z), Observable(PAULI_Z))
-        from reductionlab.measurement import MeasurementModel
-        bad = MeasurementModel(pure(KET_0), identity(4),
-                               Observable(PAULI_Z), Observable(PAULI_Z))
-        with pytest.raises(ValidationError):
-            LocalApparatusSpec(bad, s.a_obs)
+    @pytest.mark.parametrize("a_matrix, model, message", [
+        # an idle interaction: the probe learns nothing of the object
+        (PAULI_Z, MeasurementModel(pure(KET_0), identity(4), Observable(PAULI_Z),
+                                   Observable(PAULI_Z)), "measuring condition"),
+        # the CNOT model measures Z, the scenario's A is X
+        (PAULI_X, cnot_qubit_model().model, "does not target"),
+    ], ids=["fails-measuring-condition", "wrong-target"])
+    def test_rejects_unverified_apparatus(self, a_matrix, model, message):
+        s = EntangledScenario(bell_state(), Observable(a_matrix), Observable(PAULI_Z))
+        with pytest.raises(ValidationError, match=message):
+            joint_distribution_oracle(s, model)
 
     def test_random_scenarios_all_apparatus_families(self):
         rng = np.random.default_rng(777)
@@ -172,17 +174,15 @@ class TestOracle:
                 swap_replace_model(random_density(rng, 2), s.a_obs).model,
                 controlled_shift_model(s.a_obs, apparatus_dim=3).model,
             ):
-                app = LocalApparatusSpec(model, s.a_obs)
                 dev = joint_distribution_formula(s).max_deviation(
-                    joint_distribution_oracle(s, app))
+                    joint_distribution_oracle(s, model))
                 assert dev < 1e-9
 
 
-def literal_oracle(s, app):
+def literal_oracle(s, model):
     """The oracle at its most literal: U (x) 1 and both free evolutions as full
     matrices, one herm_expm per evolution, and a full projection per (a, x)
     read as Tr(P @ full)."""
-    model = app.model
     d1, d2 = s.dims
     da = model.apparatus_dim
     full = permute_factors(tensor(s.rho12.matrix, model.sigma.matrix), (d1, d2, da), (0, 2, 1))
@@ -232,21 +232,21 @@ def reference_case(case):
     s = random_scenario(rng, d1, d2, model.measured, x_outcomes, t, tau)
     if x_outcomes is not None:
         assert len(s.x_obs.spectrum) < d2
-    return s, LocalApparatusSpec(model, s.a_obs)
+    return s, model
 
 
 class TestOracleAgainstLiteral:
     @pytest.mark.parametrize("case", REFERENCE_CASES.values(), ids=REFERENCE_CASES.keys())
     def test_matches_entry_by_entry(self, case):
-        s, app = reference_case(case)
-        new, ref = joint_distribution_oracle(s, app), literal_oracle(s, app)
+        s, model = reference_case(case)
+        new, ref = joint_distribution_oracle(s, model), literal_oracle(s, model)
         assert sorted(new.entries) == sorted(ref.entries)
         for key, p in ref.entries.items():
             assert abs(new.entries[key] - p) <= 1e-12, key
 
     @pytest.mark.parametrize("case", REFERENCE_CASES.values(), ids=REFERENCE_CASES.keys())
     def test_diagonalizes_only_the_pair(self, case, monkeypatch):
-        s, app = reference_case(case)
+        s, model = reference_case(case)
         d1, d2 = s.dims
         sizes = []
         eigh = bayes.np.linalg.eigh
@@ -256,7 +256,7 @@ class TestOracleAgainstLiteral:
             return eigh(m, *args, **kwargs)
 
         monkeypatch.setattr(bayes.np.linalg, "eigh", recording_eigh)
-        joint_distribution_oracle(s, app)
+        joint_distribution_oracle(s, model)
         assert max(sizes) == d1 * d2, sizes
 
     @settings(max_examples=20, deadline=None)
@@ -266,7 +266,7 @@ class TestOracleAgainstLiteral:
         rng = np.random.default_rng(seed)
         model = random_indirect_model(seed, d1, d1 + extra).model
         s = random_scenario(rng, d1, d2, model.measured, t=t, tau=tau)
-        oracle = joint_distribution_oracle(s, LocalApparatusSpec(model, s.a_obs))
+        oracle = joint_distribution_oracle(s, model)
         assert joint_distribution_formula(s).max_deviation(oracle) < TOL_OP
 
 

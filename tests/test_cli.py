@@ -23,10 +23,12 @@ from reductionlab.modelio import (
     scenario_to_dict,
 )
 from reductionlab.errors import ParseError, ValidationError
-from reductionlab.linalg import dagger, herm_expm, identity, tensor
+from reductionlab.linalg import herm_expm, identity, tensor
 from reductionlab.measurement import MeasurementModel, effects
-from reductionlab.quantum import DensityOperator, Observable, operator_deviation, random_density
+from reductionlab.quantum import (DensityOperator, Observable, operator_deviation, pure,
+                                  random_density)
 from reductionlab.zoo import (
+    KET_0,
     PAULI_X,
     PAULI_Z,
     cnot_qubit_model,
@@ -78,24 +80,45 @@ class TestModelRoundTrip:
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 4), extra=st.integers(0, 2),
-           swap=st.booleans(), scale=st.sampled_from([1e-300, 1.0, 1e300]))
-    def test_json_text_round_trip_is_exact(self, seed, d, extra, swap, scale):
+           swap=st.booleans())
+    def test_json_text_round_trip_is_exact(self, seed, d, extra, swap):
         rng = np.random.default_rng(seed)
         if swap:
             model = swap_replace_model(random_density(rng, d), random_observable(rng, d)).model
         else:
             model = random_indirect_model(seed, d, d + extra).model
-        h = scale * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-        model = MeasurementModel(model.sigma, model.u, model.probe, model.measured,
-                                 object_hamiltonian=h + dagger(h))
         back = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
         for field in (lambda m: m.u, lambda m: m.sigma.matrix, lambda m: m.measured.matrix,
-                      lambda m: m.probe.matrix, lambda m: m.object_hamiltonian):
+                      lambda m: m.probe.matrix):
             assert field(back).dtype == field(model).dtype
             assert field(back).tobytes() == field(model).tobytes()  # bit for bit
         assert back.outcomes() == model.outcomes()
         for (a, eff), (b, ref) in zip(effects(back), effects(model), strict=True):
             assert a == b and np.array_equal(eff, ref)
+
+    def test_object_hamiltonian_is_read_and_dropped(self, cnot_path, tmp_path, capsys):
+        assert main(["verify", cnot_path, "--json"]) == 0
+        without = capsys.readouterr()
+        doc = load_json(cnot_path)
+        # Hermitian: diag(0.5, -1), off-diagonal -2i and 2i
+        doc["object_hamiltonian"] = [[0.5, 0.0], [0.0, -2.0], [0.0, 2.0], [-1.0, 0.0]]
+        path = tmp_path / "with_h.json"
+        save_json(str(path), doc)
+        assert not hasattr(model_from_dict(doc), "object_hamiltonian")
+        assert main(["verify", str(path), "--json"]) == 0
+        assert capsys.readouterr() == without
+
+    @pytest.mark.parametrize("value, code, err", [
+        ([[0.0, 0.0]] * 9, 3, "parse error: object_hamiltonian: expected a 2x2 matrix, got 3x3\n"),
+        ([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]], 4,
+         "validation error: object_hamiltonian: must be Hermitian\n"),
+    ], ids=["wrong-shape", "not-hermitian"])
+    def test_object_hamiltonian_is_checked(self, cnot_path, capsys, value, code, err):
+        doc = load_json(cnot_path)
+        doc["object_hamiltonian"] = value
+        save_json(cnot_path, doc)
+        assert main(["verify", cnot_path, "--json"]) == code
+        assert capsys.readouterr() == ("", err)
 
     def test_rejects_wrong_version(self):
         doc = model_to_dict(cnot_qubit_model().model)
@@ -283,6 +306,22 @@ class TestReduce:
         assert main(args + ["--outcome", outcome]) == code
         assert capsys.readouterr() == joined
 
+    def test_state_minus_i_as_separate_word(self, cnot_path, capsys):
+        args = ["reduce", cnot_path, "--outcome", "1"]
+        assert main(args + ["--state=-i"]) == 0
+        joined = capsys.readouterr()
+        assert main(args + ["--state", "-i"]) == 0
+        assert capsys.readouterr() == joined
+
+    @pytest.mark.parametrize("word", ["--bogus", "-x"])
+    def test_unknown_option_is_refused(self, cnot_path, capsys, word):
+        assert main(["reduce", cnot_path, "--state", "+", "--outcome", "1", word]) == 1
+        assert capsys.readouterr() == ("", f"usage error: unrecognized arguments: {word}\n")
+
+    def test_option_without_its_value(self, cnot_path, capsys):
+        assert main(["reduce", cnot_path, "--state", "+", "--outcome"]) == 1
+        assert capsys.readouterr() == ("", "usage error: argument --outcome: expected one argument\n")
+
     def test_always_prints_json(self, cnot_path, capsys):
         args = ["reduce", cnot_path, "--state", "+", "--outcome", "1"]
         assert main(args) == 0
@@ -318,6 +357,26 @@ class TestEntangled:
         assert doc["bayes_mixture_deviation"] is None
         assert doc["formula_oracle_deviation"] < 1e-9
         assert doc["ok"] is False
+
+    @pytest.mark.parametrize("a_matrix, apparatus, err", [
+        # the CNOT model measures Z, the scenario's A is X
+        (PAULI_X, cnot_qubit_model().model,
+         "apparatus model does not target the scenario's observable"),
+        # an idle interaction: the probe learns nothing of the object
+        (PAULI_Z, MeasurementModel(pure(KET_0), identity(4), Observable(PAULI_Z),
+                                   Observable(PAULI_Z)),
+         "apparatus model fails the measuring condition (deviation 1.0)"),
+        # a qutrit apparatus model on the Bell pair's qubit
+        (PAULI_Z, random_indirect_model(3, 3, 4).model, "shape mismatch (3, 3) vs (2, 2)"),
+    ], ids=["wrong-target", "fails-measuring-condition", "wrong-object-dim"])
+    def test_refused_apparatus(self, tmp_path, capsys, a_matrix, apparatus, err):
+        phi = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
+        s = EntangledScenario(DensityOperator(np.outer(phi, phi)),
+                              Observable(a_matrix), Observable(PAULI_Z))
+        path = tmp_path / "refused.json"
+        save_json(str(path), scenario_to_dict(s, apparatus=apparatus))
+        assert main(["entangled", str(path), "--json"]) == 4
+        assert capsys.readouterr() == ("", f"validation error: {err}\n")
 
     def test_swapped_dims_refused(self, tmp_path, capsys):
         rng = np.random.default_rng(5)
@@ -404,12 +463,21 @@ class TestSweep:
         assert not doc["ok"]
 
 
+def cnot_doc_with_hamiltonian() -> dict:
+    """The exported CNOT model plus a zero `object_hamiltonian`, which format-"1"
+    files may carry and which is read and checked but not kept."""
+    doc = model_to_dict(cnot_qubit_model().model)
+    doc["object_hamiltonian"] = [[0.0, 0.0]] * 4
+    return doc
+
+
 MODEL_FIELDS = ("sigma", "u", "a_matrix", "b_matrix", "object_hamiltonian")
 FUZZ_TARGETS = (
-    [("verify", model_to_dict(cnot_qubit_model().model), (field,)) for field in MODEL_FIELDS]
+    [("verify", cnot_doc_with_hamiltonian(), (field,)) for field in MODEL_FIELDS]
     + [("entangled", bell_scenario_doc(), (field,))
        for field in ("rho12", "a_matrix", "x_matrix", "h1", "h2")]
-    + [("entangled", bell_scenario_doc(), ("apparatus", field)) for field in MODEL_FIELDS])
+    + [("entangled", {**bell_scenario_doc(), "apparatus": cnot_doc_with_hamiltonian()},
+        ("apparatus", field)) for field in MODEL_FIELDS])
 FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                    st.sampled_from([1e308, -1e308]))
 
@@ -459,6 +527,7 @@ class TestExportZoo:
         paths = capsys.readouterr().out.split()
         assert len(paths) == len(standard_entries())
         for path in paths:
+            assert "object_hamiltonian" not in load_json(path)
             assert main(["verify", path]) == 0
             capsys.readouterr()
 

@@ -4,9 +4,9 @@
 #
 #   tools/output_contract.sh OUTDIR
 #
-# OUTDIR/inputs holds the exported zoo, the Bell/CNOT scenario and a scenario
-# with free evolution, and OUTDIR/NAME.out, NAME.err and NAME.code each
-# command's results.  Two checkouts give the same answers when
+# OUTDIR/inputs holds the exported zoo, the CNOT model with an object
+# Hamiltonian, the Bell/CNOT scenario and a scenario with free evolution, and
+# OUTDIR/NAME.out, NAME.err and NAME.code each command's results.  Two checkouts give the same answers when
 # `diff -r OUT_A OUT_B` prints nothing.
 set -eu
 
@@ -17,6 +17,20 @@ mkdir -p "$out/inputs"
 zoo="$out/inputs/zoo"
 
 python3 -m reductionlab.cli export-zoo "$zoo" > /dev/null
+# The CNOT model with a nonzero Hermitian object_hamiltonian, which model files
+# of format "1" may carry: it is checked when read and changes no answer
+python3 - "$zoo/cnot.json" "$out/inputs/cnot_hamiltonian.json" <<'EOF'
+import json
+import sys
+
+with open(sys.argv[1], encoding="utf-8") as fh:
+    doc = json.load(fh)
+doc["object_hamiltonian"] = [[0.5, 0.0], [0.0, -2.0], [0.0, 2.0], [-1.0, 0.0]]
+with open(sys.argv[2], "w", encoding="utf-8") as fh:
+    json.dump(doc, fh, indent=1)
+    fh.write("\n")
+EOF
+
 # Bell state, Z on both sides, no free evolution, the CNOT model as apparatus
 python3 - "$zoo/cnot.json" "$out/inputs/bell.json" <<'EOF'
 import json
@@ -77,12 +91,14 @@ for model in cnot swap_replace controlled_shift controlled_shift_degenerate rand
     run "verify-$model" verify "$zoo/$model.json" --json
     run "verify-$model-tol" verify "$zoo/$model.json" --json --tolerance 1e-3
 done
+run verify-cnot-hamiltonian verify "$out/inputs/cnot_hamiltonian.json" --json
 run sweep-42 sweep --json --seed 42 --trials 30 --dims 2..4
 run sweep-7 sweep --json --seed 7 --trials 2 --dims 6,8
 run entangled-json entangled "$out/inputs/bell.json" --json
 run entangled-text entangled "$out/inputs/bell.json"
 run entangled-free-json entangled "$out/inputs/free.json" --json
 run reduce-cnot-plus reduce "$zoo/cnot.json" --state + --outcome 1
+run reduce-cnot-minus-i reduce "$zoo/cnot.json" --state -i --outcome 1
 run reduce-swap-plus reduce "$zoo/swap_replace.json" --state + --outcome -1
 run reduce-degenerate-mixed reduce "$zoo/controlled_shift_degenerate.json" --state mixed --outcome 0
 run reduce-not-an-outcome reduce "$zoo/cnot.json" --state + --outcome 0.5
