@@ -13,11 +13,13 @@ and shares no structure with the formula.  Its apparatus is a
 scenario's A and satisfy the measuring condition.  The apparatus is idle
 between measurements (its Hamiltonian is zero), so the free evolution acts
 on the pair alone: the oracle diagonalizes the pair Hamiltonian
-h12 = h1 (x) 1 + 1 (x) h2, never h1 or h2 alone.  Its contractions run in
-this order: rho12 evolves to t on the pair, the product with sigma is
-formed, U acts on the (S1, A) index and the tau evolution on the (S1, S2)
-index by reshaped products, and S1 is traced out once before the joint
-readout on the (S2, A) block.
+h12 = h1 (x) 1 + 1 (x) h2, never h1 or h2 alone.  It runs through the
+apparatus dilation: with sigma = sum_l p_l p_l^dag over the model's
+pointer columns, the process from S1 (x) S2 at time t to S1 (x) A (x) S2
+is the family of maps V_l = (u12(tau) (x) 1_A)(U (x) 1)(1 (x) |p_l> (x) 1).
+rho12 evolves to t on the pair, and the (S2, A) block
+Tr_S1 sum_l V_l rho12(t) V_l^dag is formed by flat products before the
+joint readout.  The state on H1 (x) HA (x) H2 is never formed.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .linalg import (
     identity,
     is_hermitian,
     partial_trace,
-    permute_factors,
     tensor,
 )
 from .measurement import MeasurementModel, verify_measures
@@ -142,25 +143,27 @@ def joint_distribution_oracle(s: EntangledScenario, model: MeasurementModel) -> 
     interaction acts on H1 (x) HA only, so its extension to the full space
     commutes with every observable of subsystem 2.
 
-    Evolves the pair freely to time t, forms the product with sigma on
-    H1 (x) HA (x) H2, applies the interaction unitary extended as U (x) 1,
-    evolves freely by tau, then reads the commuting projections E^B(a) on
-    the apparatus and E^X(x) on subsystem 2 jointly.  No projection
-    postulate anywhere.
+    Evolves the pair freely to time t, prepares the apparatus in sigma,
+    applies the interaction unitary extended as U (x) 1, evolves freely by
+    tau, then reads the commuting projections E^B(a) on the apparatus and
+    E^X(x) on subsystem 2 jointly.  No projection postulate anywhere.
 
     The simulation stays literal; only its contractions are cheap.  The
     apparatus Hamiltonian is zero, so the free evolution is
     e^{-i h12 time} (x) 1_A with the pair Hamiltonian
     h12 = h1 (x) 1 + 1 (x) h2, which is diagonalized once and never
     factored into local evolutions; both free evolutions are built from
-    that one eigendecomposition.  The state is still a product at time t,
-    so rho12 is evolved on the pair alone before the product with sigma
-    is formed.  U then acts on the (S1, A) index of rows and columns by
-    reshaped products, without forming U (x) 1, and the tau evolution
-    acts the same way on the (S1, S2) index, with A a spectator.  S1 is
-    traced out once before the readout, and each (a, x) is read on the
-    (S2, A) block as Tr[(E^X(x) (x) E^B(a)) block] without forming the
-    projection.
+    that one eigendecomposition.  Preparing the apparatus is the
+    dilation sigma = sum_l p_l p_l^dag over the model's pointer columns
+    p_l = sqrt(s_l) |phi_l>, so the whole process from S1 (x) S2 at time t
+    to S1 (x) A (x) S2 is the family of maps
+    V_l = (u12(tau) (x) 1_A) (U (x) 1_S2) (1_S1 (x) |p_l> (x) 1_S2),
+    each a (d1 dA d2) x (d1 d2) matrix built by reshaped products.  The
+    (S2, A) block Tr_S1 sum_l V_l rho12(t) V_l^dag is one pair of flat
+    products over the stack of the V_l rows, and each (a, x) is read on it
+    as Tr[(E^X(x) (x) E^B(a)) block] without forming the projection.
+    rho12 is used as given, so the result is linear in it; no operator on
+    H1 (x) HA (x) H2 is ever formed.
     """
     if operator_deviation(model.measured.matrix, s.a_obs.matrix) > TOL_OP:
         raise ValidationError("apparatus model does not target the scenario's observable")
@@ -169,26 +172,23 @@ def joint_distribution_oracle(s: EntangledScenario, model: MeasurementModel) -> 
         raise ValidationError(f"apparatus model fails the measuring condition (deviation {dev})")
     d1, d2 = s.dims
     da = model.apparatus_dim
-    n1a, n12 = d1 * da, d1 * d2
-    n = n1a * d2
+    n12, n2a = d1 * d2, d2 * da
     w, v = np.linalg.eigh(tensor(s.h1, identity(d2)) + tensor(identity(d1), s.h2))
 
     def pair_evolution(time):
         return (v * np.exp(-1j * w * time)) @ dagger(v)
 
     u = pair_evolution(s.t)
-    # (S1, S2, A) -> (S1, A, S2)
-    full = tensor(u @ s.rho12.matrix @ dagger(u), model.sigma.matrix)
-    full = permute_factors(full, (d1, d2, da), (0, 2, 1))
-    # (U (x) 1) full (U (x) 1)^dag: U on the row index, then conj(U) on the column index
-    full = (model.u @ full.reshape(n1a, d2 * n)).reshape(n, n1a, d2)
-    full = (model.u.conj() @ full).reshape(n, n)
-    # (S1, A, S2) -> (S1, S2, A); u12(tau) (x) 1_A the same way on the (S1, S2) index
-    full = permute_factors(full, (d1, da, d2), (0, 2, 1))
-    u = pair_evolution(s.tau)
-    full = (u @ full.reshape(n12, da * n)).reshape(n, n12, da)
-    full = (u.conj() @ full).reshape(n, n)
-    block = partial_trace(full, (d1, d2, da), [1, 2]).reshape(d2, da, d2, da)
+    rho = u @ s.rho12.matrix @ dagger(u)
+    # U (1 (x) |p_l>): k[i, b, j, l] = sum_b' U[(i, b), (j, b')] p_l[b']
+    k = (model.u.reshape(-1, da) @ model.pointer).reshape(d1, da, d1, -1)
+    # V_l[(i, b, y), (j, y')] = sum_i' u12(tau)[(i, y), (i', y')] k[i', b, j, l],
+    # laid out as vl[(y, b), (i, l), (j, y')]: Tr_S1 and the sum over l are one sum over (i, l)
+    u = pair_evolution(s.tau).reshape(d1, d2, d1, d2)
+    vl = np.tensordot(u, k, axes=([2], [0]))  # [i, y, y', b, j, l]
+    vl = vl.transpose(1, 3, 0, 5, 4, 2).reshape(n2a, -1)
+    block = (vl.reshape(-1, n12) @ rho).reshape(n2a, -1) @ vl.conj().T
+    block = block.reshape(d2, da, d2, da)
     entries = {}
     for a in model.outcomes():
         # Tr_A[(1 (x) E^B(a)) block], an operator on S2

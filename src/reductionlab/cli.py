@@ -7,6 +7,7 @@ Exit codes: 0 ok, 1 usage error, 2 missing file, 3 parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -233,6 +234,9 @@ def _tolerance(text: str, source: str = "--tolerance") -> float:
     return tol
 
 
+# one parser per process and default tolerance: parse_args leaves it unchanged, and a
+# build takes about 1 ms, paid on every call by a process that runs many commands
+@functools.lru_cache(maxsize=None)
 def build_parser(default_tol: float) -> argparse.ArgumentParser:
     parser = _Parser(prog="reductionlab",
                      description="Measurement-model verification and state reduction")

@@ -119,7 +119,7 @@ class MeasurementModel:
     # already gets from the two flat products.
 
     @cached_property
-    def _pointer(self) -> np.ndarray:
+    def pointer(self) -> np.ndarray:
         """Columns sqrt(s_l) |phi_l> over the eigenvalues s_l of sigma above its rounding level."""
         s, phi = np.linalg.eigh(self.sigma.matrix)
         keep = s > s.max() * self.apparatus_dim * np.finfo(float).eps
@@ -153,7 +153,7 @@ class MeasurementModel:
         smaller of the two apparatus contractions is done first.
         """
         d, da = self.object_dim, self.apparatus_dim
-        psi = self._pointer
+        psi = self.pointer
         u = self.u.reshape(d, da, -1)  # u[i, beta, (j, beta')] = U[(i, beta), (j, beta')]
         k = da if basis is None else basis.shape[1]
         if basis is not None and k < psi.shape[1]:

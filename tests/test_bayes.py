@@ -210,6 +210,11 @@ def _indirect_apparatus(d_app):
     return lambda rng, d1: random_indirect_model(int(rng.integers(1 << 30)), d1, d_app).model
 
 
+def _swap_apparatus(rng, d1):
+    """A full-rank sigma: every pointer column and its sqrt(s_l) weight counts."""
+    return swap_replace_model(random_density(rng, d1), random_observable(rng, d1)).model
+
+
 # (apparatus factory, d1, d2, X outcome count or None for a random one, t, tau)
 REFERENCE_CASES = {
     "shift-d1-3-dapp-4": (_shift_apparatus, 3, 2, None, 0.8, 1.1),
@@ -222,6 +227,8 @@ REFERENCE_CASES = {
     "degenerate-x": (_indirect_apparatus(3), 2, 4, 2, 1.2, 0.9),
     "t-zero": (_indirect_apparatus(3), 3, 2, None, 0.0, 1.4),
     "tau-zero": (_indirect_apparatus(3), 2, 4, None, 1.6, 0.0),
+    # d_app == d1 == d2 == 3, sigma of rank 3
+    "swap-full-rank-sigma": (_swap_apparatus, 3, 3, None, 0.9, 1.3),
 }
 
 
@@ -258,6 +265,21 @@ class TestOracleAgainstLiteral:
         monkeypatch.setattr(bayes.np.linalg, "eigh", recording_eigh)
         joint_distribution_oracle(s, model)
         assert max(sizes) == d1 * d2, sizes
+
+    @pytest.mark.parametrize("case", REFERENCE_CASES.values(), ids=REFERENCE_CASES.keys())
+    def test_builds_no_composite_product(self, case, monkeypatch):
+        s, model = reference_case(case)
+        d1, d2 = s.dims
+        sides = []
+
+        def recording_tensor(*factors):
+            out = tensor(*factors)
+            sides.append(out.shape[0])
+            return out
+
+        monkeypatch.setattr(bayes, "tensor", recording_tensor)
+        joint_distribution_oracle(s, model)
+        assert max(sides) == d1 * d2, sides
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), d1=st.integers(2, 3), extra=st.integers(0, 1),

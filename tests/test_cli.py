@@ -562,6 +562,17 @@ class TestToleranceOverride:
         doc = json.loads(capsys.readouterr().out)
         assert doc["checks"][0]["tolerance"] == 1e-6
 
+    def test_env_var_read_on_every_call(self, cnot_path, capsys, monkeypatch):
+        tolerances = []
+        for value in ("1e-3", None):
+            if value is None:
+                monkeypatch.delenv("REDUCTIONLAB_TOL")
+            else:
+                monkeypatch.setenv("REDUCTIONLAB_TOL", value)
+            assert main(["verify", cnot_path, "--json"]) == 0
+            tolerances.append(json.loads(capsys.readouterr().out)["checks"][0]["tolerance"])
+        assert tolerances == [1e-3, 1e-9]
+
     def test_bad_env(self, cnot_path, capsys, monkeypatch):
         monkeypatch.setenv("REDUCTIONLAB_TOL", "not-a-number")
         assert main(["verify", cnot_path]) == 1

@@ -536,7 +536,7 @@ class TestContractionOrder:
     def test_kraus_models_cover_both_orders(self):
         def ranks(model):
             """(rank E^B(a), rank sigma) for each outcome a."""
-            return [(basis.shape[1], model._pointer.shape[1]) for basis in model._probe_bases]
+            return [(basis.shape[1], model.pointer.shape[1]) for basis in model._probe_bases]
 
         models = dict(KRAUS_MODELS)
         assert any(k < r for k, r in ranks(models["swap_full_rank_sigma"]()))
@@ -559,7 +559,7 @@ class TestContractionOrder:
         weights = rng.uniform(0.1, 1.0, rank)
         sigma = DensityOperator((kets * (weights / weights.sum())) @ dagger(kets))
         model = MeasurementModel(sigma, base.u, base.probe, base.measured)
-        assert model._pointer.shape[1] == rank
+        assert model.pointer.shape[1] == rank
         rho = random_density(rng, d).matrix
         comp = model.u @ tensor(rho, sigma.matrix) @ dagger(model.u)
         ref = partial_trace(comp, (d, da), [0])

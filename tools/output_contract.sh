@@ -5,9 +5,10 @@
 #   tools/output_contract.sh OUTDIR
 #
 # OUTDIR/inputs holds the exported zoo, the CNOT model with an object
-# Hamiltonian, the Bell/CNOT scenario and a scenario with free evolution, and
-# OUTDIR/NAME.out, NAME.err and NAME.code each command's results.  Two checkouts give the same answers when
-# `diff -r OUT_A OUT_B` prints nothing.
+# Hamiltonian, the Bell/CNOT scenario and two scenarios with free evolution
+# (one with a full-rank apparatus state sigma), and OUTDIR/NAME.out, NAME.err
+# and NAME.code each command's results.  Two checkouts give the same answers
+# when `diff -r OUT_A OUT_B` prints nothing.
 set -eu
 
 out=${1:?usage: tools/output_contract.sh OUTDIR}
@@ -50,9 +51,11 @@ with open(sys.argv[2], "w", encoding="utf-8") as fh:
     fh.write("\n")
 EOF
 
-# Free evolution on both sides (nonzero h1, h2, t and tau), a 3-level object
-# measured through a 4-level apparatus, a qubit partner
-python3 - "$out/inputs/free.json" <<'EOF'
+# Two scenarios with free evolution on both sides (nonzero h1, h2, t and tau)
+# and a qubit partner: free.json measures a 3-level object through a 4-level
+# apparatus; swap_free.json uses a swap-replace apparatus whose sigma is a
+# seeded full-rank state, so that every pointer column of the oracle counts
+python3 - "$out/inputs/free.json" "$out/inputs/swap_free.json" <<'EOF'
 import json
 import sys
 
@@ -61,22 +64,26 @@ import numpy as np
 from reductionlab.bayes import EntangledScenario
 from reductionlab.modelio import scenario_to_dict
 from reductionlab.quantum import random_density
-from reductionlab.zoo import random_indirect_model, random_observable
-
-rng = np.random.default_rng(11)
+from reductionlab.zoo import random_indirect_model, random_observable, swap_replace_model
 
 
-def hermitian(d):
+def hermitian(rng, d):
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return (g + g.conj().T) / 2
 
 
-model = random_indirect_model(3, 3, 4).model
-s = EntangledScenario(random_density(rng, 6), model.measured, random_observable(rng, 2),
-                      h1=hermitian(3), h2=hermitian(2), t=0.7, tau=1.3)
-with open(sys.argv[1], "w", encoding="utf-8") as fh:
-    json.dump(scenario_to_dict(s, apparatus=model), fh, indent=1)
-    fh.write("\n")
+def write(path, rng, model, t, tau):
+    s = EntangledScenario(random_density(rng, 6), model.measured, random_observable(rng, 2),
+                          h1=hermitian(rng, 3), h2=hermitian(rng, 2), t=t, tau=tau)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(scenario_to_dict(s, apparatus=model), fh, indent=1)
+        fh.write("\n")
+
+
+write(sys.argv[1], np.random.default_rng(11), random_indirect_model(3, 3, 4).model, 0.7, 1.3)
+rng = np.random.default_rng(12)
+write(sys.argv[2], rng, swap_replace_model(random_density(rng, 3), random_observable(rng, 3)).model,
+      0.9, 0.6)
 EOF
 
 run() {
@@ -97,6 +104,7 @@ run sweep-7 sweep --json --seed 7 --trials 2 --dims 6,8
 run entangled-json entangled "$out/inputs/bell.json" --json
 run entangled-text entangled "$out/inputs/bell.json"
 run entangled-free-json entangled "$out/inputs/free.json" --json
+run entangled-swap-json entangled "$out/inputs/swap_free.json" --json
 run reduce-cnot-plus reduce "$zoo/cnot.json" --state + --outcome 1
 run reduce-cnot-minus-i reduce "$zoo/cnot.json" --state -i --outcome 1
 run reduce-swap-plus reduce "$zoo/swap_replace.json" --state + --outcome -1
