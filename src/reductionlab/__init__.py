@@ -14,6 +14,7 @@ from .bayes import (
     joint_distribution_formula,
     joint_distribution_oracle,
     posterior_state,
+    posteriors,
     prior_state,
 )
 from .errors import (

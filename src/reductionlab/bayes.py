@@ -3,28 +3,23 @@
 Joint outcome statistics computed two ways: a closed-form expression in
 Heisenberg-evolved spectral projections, and a brute-force apparatus-level
 oracle that simulates the full object-apparatus-bystander dynamics and
-reads two commuting projections jointly.  Plus Bayes prior/posterior
-states of the distant subsystem.  The pair's two factors are those of the
-observables measured on it.
+reads two commuting projections jointly.  The pair's two factors are those
+of the observables measured on it.
 
 The oracle stays the literal three-factor simulation on H1 (x) HA (x) H2
-and shares no structure with the formula.  Its apparatus is a
-`MeasurementModel`, which it checks first: the model must measure the
-scenario's A and satisfy the measuring condition.  The apparatus is idle
-between measurements (its Hamiltonian is zero), so the free evolution acts
-on the pair alone: the oracle diagonalizes the pair Hamiltonian
-h12 = h1 (x) 1 + 1 (x) h2, never h1 or h2 alone.  It runs through the
-apparatus dilation: with sigma = sum_l p_l p_l^dag over the model's
-pointer columns, the process from S1 (x) S2 at time t to S1 (x) A (x) S2
-is the family of maps V_l = (u12(tau) (x) 1_A)(U (x) 1)(1 (x) |p_l> (x) 1).
-rho12 evolves to t on the pair, and the (S2, A) block
-Tr_S1 sum_l V_l rho12(t) V_l^dag is formed by flat products before the
-joint readout.  The state on H1 (x) HA (x) H2 is never formed.
+and shares no structure with the formula; its docstring gives the
+apparatus dilation by which it never forms the state on that space.
+
+Bayes: `prior_state` is the distant subsystem's state rho2(t), and
+`posteriors` conditions it on every outcome of A with nonzero marginal,
+(a, P(a), rho2(t | a)), from one evolution of each subsystem;
+`posterior_state` is its one-outcome case.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partialmethod
 
 import numpy as np
 
@@ -100,34 +95,33 @@ class EntangledScenario:
 class JointDistribution(Distribution):
     """Map from (a, x) outcome pairs to probability."""
 
-    def marginal_a(self) -> OutcomeDistribution:
+    def _marginal(self, i: int) -> OutcomeDistribution:
+        """Distribution of the outcome at position i of the (a, x) pair."""
         out: dict[float, float] = {}
-        for (a, _), p in self.entries.items():
-            out[a] = out.get(a, 0.0) + p
+        for key, p in self.entries.items():
+            out[key[i]] = out.get(key[i], 0.0) + p
         return OutcomeDistribution(out)
 
-    def marginal_x(self) -> OutcomeDistribution:
-        out: dict[float, float] = {}
-        for (_, x), p in self.entries.items():
-            out[x] = out.get(x, 0.0) + p
-        return OutcomeDistribution(out)
+    marginal_a = partialmethod(_marginal, 0)
+    marginal_x = partialmethod(_marginal, 1)
 
     def total_variation(self, other: "JointDistribution") -> float:
         return 0.5 * sum(self._differences(other))
 
 
-def _heisenberg(proj: np.ndarray, h, time: float) -> np.ndarray:
-    """e^{+iht} P e^{-iht}."""
+def _heisenberg(h, time: float):
+    """P -> e^{+iht} P e^{-iht}, from one evolution."""
     u = herm_expm(h, -time)
-    return u @ proj @ dagger(u)
+    return lambda proj: u @ proj @ dagger(u)
 
 
 def joint_distribution_formula(s: EntangledScenario) -> JointDistribution:
     """Pr{A(t)=a, X(t+tau)=x} from Heisenberg-evolved projections on rho12."""
-    ex_ts = [(x, _heisenberg(ex, s.h2, s.t + s.tau)) for x, ex in s.x_obs.spectrum]
+    at_t, at_t_tau = _heisenberg(s.h1, s.t), _heisenberg(s.h2, s.t + s.tau)
+    ex_ts = [(x, at_t_tau(ex)) for x, ex in s.x_obs.spectrum]
     entries = {}
     for a, ea in s.a_obs.spectrum:
-        ea_t = _heisenberg(ea, s.h1, s.t)
+        ea_t = at_t(ea)
         for x, ex_t in ex_ts:
             p = float(np.trace(tensor(ea_t, ex_t) @ s.rho12.matrix).real)
             entries[(a, x)] = p
@@ -205,15 +199,27 @@ def prior_state(s: EntangledScenario) -> DensityOperator:
     return DensityOperator(u @ rho2 @ dagger(u))
 
 
-def posterior_state(s: EntangledScenario, a: float) -> DensityOperator:
-    """rho2(t | A(t)=a): the distant subsystem's state conditioned on the local outcome."""
-    ea_t = _heisenberg(s.a_obs.projection(a), s.h1, s.t)
+def _posterior(s: EntangledScenario, a: float, at_t, u) -> DensityOperator:
+    """rho2(t | A(t)=a) from at_t = _heisenberg(h1, t) and u = e^{-i h2 t}."""
+    ea_t = at_t(s.a_obs.projection(a))
     selected = partial_trace(tensor(ea_t, identity(s.dims[1])) @ s.rho12.matrix, s.dims, [1])
     p = float(np.trace(selected).real)
     if p <= TOL_PROB:
         raise ZeroProbabilityError(f"outcome {a} has probability {p}; posterior undefined")
-    u = herm_expm(s.h2, s.t)
     return DensityOperator(u @ selected @ dagger(u) / p)
+
+
+def posterior_state(s: EntangledScenario, a: float) -> DensityOperator:
+    """rho2(t | A(t)=a): the distant subsystem's state conditioned on the local outcome."""
+    return _posterior(s, a, _heisenberg(s.h1, s.t), herm_expm(s.h2, s.t))
+
+
+def posteriors(s: EntangledScenario, joint: JointDistribution) -> list:
+    """[(a, P(a), rho2(t | a))] for every outcome whose marginal P(a) in `joint`, the
+    scenario's closed-form joint distribution, exceeds TOL_PROB, in outcome order."""
+    at_t, u = _heisenberg(s.h1, s.t), herm_expm(s.h2, s.t)
+    return [(a, p, _posterior(s, a, at_t, u))
+            for a, p in joint.marginal_a().entries.items() if p > TOL_PROB]
 
 
 def bayes_condition(j: JointDistribution, a: float) -> OutcomeDistribution:
@@ -228,14 +234,7 @@ def bayes_condition(j: JointDistribution, a: float) -> OutcomeDistribution:
     return OutcomeDistribution({x: p / total for x, p in row.items()})
 
 
-def bayes_conditionals(j: JointDistribution) -> list[tuple[float, OutcomeDistribution]]:
-    """(a, P(x | a)) for every outcome a whose marginal probability exceeds TOL_PROB."""
-    return [(a, bayes_condition(j, a)) for a, p in j.marginal_a().entries.items() if p > TOL_PROB]
-
-
-def bayes_mixture_check(s: EntangledScenario, joint: JointDistribution) -> float:
-    """Max-entry deviation of the prior from the P(a)-weighted posterior mixture;
-    P(a) is read from `joint`, the scenario's closed-form joint distribution."""
-    mix = sum(p * posterior_state(s, a).matrix
-              for a, p in joint.marginal_a().entries.items() if p > TOL_PROB)
+def bayes_mixture_check(s: EntangledScenario, conditioned) -> float:
+    """Max-entry deviation of the prior from sum_a P(a) rho2(t | a) over posteriors(s, joint)."""
+    mix = sum(p * post.matrix for _, p, post in conditioned)
     return operator_deviation(prior_state(s), mix)

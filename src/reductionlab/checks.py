@@ -1,11 +1,11 @@
 """The paper's invariants as one table of named checks, shared by `verify` and `sweep`.
 
 A check maps its inputs to a max deviation: model checks take (model,
-evaluated), each state paired with its `measurement.reductions`, computed
-once before any check runs and so outside every check's time; scenario
-checks take (scenario, formula, oracle), the scenario and its closed-form
-and apparatus-level joint distributions. OPERATOR checks are judged by the
-caller's operator tolerance, PROBABILITY checks by TOL_PROB.
+evaluated), each state paired with its `measurement.reductions`; scenario
+checks take (scenario, evaluated), what `evaluate_scenario` returns. Both
+are computed once before any check runs and so outside every check's time.
+OPERATOR checks are judged by the caller's operator tolerance, PROBABILITY
+checks by TOL_PROB.
 Check functions look library names up when they run, so a caller that
 replaces a module attribute (a tracer, a test double) sees every call.
 """
@@ -13,12 +13,13 @@ replaces a module attribute (a tracer, a test double) sees every call.
 from __future__ import annotations
 
 import time
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bayes import (EntangledScenario, bayes_conditionals, bayes_mixture_check,
-                    joint_distribution_formula, joint_distribution_oracle, posterior_state)
+from .bayes import (EntangledScenario, bayes_condition, bayes_mixture_check,
+                    joint_distribution_formula, joint_distribution_oracle, posteriors)
 from .linalg import TOL_OP, TOL_PROB, dagger, identity, max_abs
 from .measurement import (effects, mixture_identity_check, reductions,
                           satisfies_projection_postulate, state_reduction_sandwiched,
@@ -84,14 +85,19 @@ def _affinity(model, evaluated) -> float:
                             - (1 - lam) * second.get(a, 0.0)) for a in model.outcomes()])
 
 
-def _posterior_conditionals(scenario, formula, oracle) -> float:
+def evaluate_scenario(scenario, model=None) -> SimpleNamespace:
+    """What the scenario checks read, each computed once: the closed-form joint `formula`,
+    the apparatus-level joint `oracle` (None without a model) and the `posteriors`."""
+    formula = joint_distribution_formula(scenario)
+    oracle = None if model is None else joint_distribution_oracle(scenario, model)
+    return SimpleNamespace(formula=formula, oracle=oracle, posteriors=posteriors(scenario, formula))
+
+
+def _posterior_conditionals(scenario, evaluated) -> float:
     """Bayes conditionals P(x | a) against rule 1 applied to the posterior state."""
-    devs = []
-    for a, cond in bayes_conditionals(formula):
-        reproduced = rule1_distribution(
-            posterior_state(scenario, a), scenario.h2, scenario.x_obs, scenario.tau)
-        devs.append(cond.max_deviation(reproduced))
-    return max_abs(devs)
+    return max_abs([bayes_condition(evaluated.formula, a).max_deviation(
+        rule1_distribution(post, scenario.h2, scenario.x_obs, scenario.tau))
+        for a, _, post in evaluated.posteriors])
 
 
 VERIFY_CHECKS = (
@@ -104,10 +110,10 @@ VERIFY_CHECKS = (
         [mixture_identity_check(model, rho, reduced) for rho, reduced in evaluated])),
 )
 SWEEP_MODEL_CHECKS = VERIFY_CHECKS + (Check("affinity", OPERATOR, _affinity),)
-LOCAL_MEASUREMENT = Check("local_measurement_theorem", OPERATOR,
-                          lambda scenario, formula, oracle: formula.max_deviation(oracle))
-BAYES_MIXTURE = Check("bayes_mixture", OPERATOR,
-                      lambda scenario, formula, oracle: bayes_mixture_check(scenario, formula))
+LOCAL_MEASUREMENT = Check("local_measurement_theorem", OPERATOR, lambda scenario, evaluated:
+                          evaluated.formula.max_deviation(evaluated.oracle))
+BAYES_MIXTURE = Check("bayes_mixture", OPERATOR, lambda scenario, evaluated:
+                      bayes_mixture_check(scenario, evaluated.posteriors))
 SCENARIO_CHECKS = (
     LOCAL_MEASUREMENT,
     BAYES_MIXTURE,
@@ -148,9 +154,8 @@ def _trial(seed: int, d_obj: int, d_other: int) -> list[Report]:
         t=float(rng.uniform(0.1, 2.0)),
         tau=float(rng.uniform(0.0, 2.0)),
     )
-    formula = joint_distribution_formula(scenario)
-    oracle = joint_distribution_oracle(scenario, model)
-    return reports + [check.run(TOL_OP, scenario, formula, oracle) for check in SCENARIO_CHECKS]
+    evaluated = evaluate_scenario(scenario, model)
+    return reports + [check.run(TOL_OP, scenario, evaluated) for check in SCENARIO_CHECKS]
 
 
 def sweep(seed: int, trials: int, dims: list[int], tol_op: float) -> list[Report]:

@@ -16,13 +16,7 @@ import sys
 import numpy as np
 
 from . import checks
-from .bayes import (
-    bayes_conditionals,
-    joint_distribution_formula,
-    joint_distribution_oracle,
-    posterior_state,
-    prior_state,
-)
+from .bayes import bayes_condition, prior_state
 from .errors import (
     DimensionMismatchError,
     ParseError,
@@ -153,26 +147,22 @@ def _joint_to_list(j) -> list:
 
 def cmd_entangled(args) -> int:
     scenario, apparatus = scenario_from_dict(load_json(args.scenario))
-    formula = joint_distribution_formula(scenario)
+    evaluated = checks.evaluate_scenario(scenario, apparatus)
+    formula = evaluated.formula
     doc: dict = {"joint_formula": _joint_to_list(formula)}
-    ok = True
     if apparatus is not None:
-        oracle = joint_distribution_oracle(scenario, apparatus)
-        report = checks.LOCAL_MEASUREMENT.run(args.tolerance, scenario, formula, oracle)
-        doc["joint_oracle"] = _joint_to_list(oracle)
+        report = checks.LOCAL_MEASUREMENT.run(args.tolerance, scenario, evaluated)
+        doc["joint_oracle"] = _joint_to_list(evaluated.oracle)
         doc["formula_oracle_deviation"] = _deviation(report.max_deviation)
-        ok = report.passed
     doc["prior"] = matrix_to_pairs(prior_state(scenario).matrix)
+    doc["posteriors"] = {_fmt(a): matrix_to_pairs(post.matrix)
+                         for a, _, post in evaluated.posteriors}
     marg_x = formula.marginal_x()
-    conditionals = bayes_conditionals(formula)
-    doc["posteriors"] = {_fmt(a): matrix_to_pairs(posterior_state(scenario, a).matrix)
-                         for a, _ in conditionals}
-    independent = not any(cond.max_deviation(marg_x) > TOL_PROB for _, cond in conditionals)
-    doc["independent"] = independent
-    mixture = checks.BAYES_MIXTURE.run(args.tolerance, scenario, formula, None)
+    doc["independent"] = not any(bayes_condition(formula, a).max_deviation(marg_x) > TOL_PROB
+                                 for a, _, _ in evaluated.posteriors)
+    mixture = checks.BAYES_MIXTURE.run(args.tolerance, scenario, evaluated)
     doc["bayes_mixture_deviation"] = _deviation(mixture.max_deviation)
-    ok = ok and mixture.passed
-    doc["ok"] = ok
+    doc["ok"] = ok = mixture.passed and (apparatus is None or report.passed)
     if args.json:
         _dump(doc)
     else:
@@ -181,7 +171,7 @@ def cmd_entangled(args) -> int:
             print(f"  A={_fmt(a)} X={_fmt(x)}  {_fmt(p)}")
         if apparatus is not None:
             print(f"formula vs oracle deviation: {_fmt(report.max_deviation)}")
-        print(f"independent: {independent}")
+        print(f"independent: {doc['independent']}")
         print(f"bayes mixture deviation: {_fmt(mixture.max_deviation)}")
         print("ok" if ok else "FAILED")
     return EXIT_OK if ok else EXIT_VALIDATION

@@ -12,6 +12,7 @@ from reductionlab.bayes import (
     joint_distribution_formula,
     joint_distribution_oracle,
     posterior_state,
+    posteriors,
     prior_state,
 )
 from reductionlab.errors import DimensionMismatchError, ValidationError, ZeroProbabilityError
@@ -22,6 +23,7 @@ from reductionlab.linalg import (
     herm_expm,
     identity,
     max_abs,
+    partial_trace,
     permute_factors,
     tensor,
 )
@@ -381,20 +383,20 @@ class TestBayesCondition:
 class TestBayesMixture:
     def test_bell(self):
         s = EntangledScenario(bell_state(), Observable(PAULI_Z), Observable(PAULI_Z))
-        assert bayes_mixture_check(s, joint_distribution_formula(s)) < 1e-10
+        assert bayes_mixture_check(s, posteriors(s, joint_distribution_formula(s))) < 1e-10
 
     def test_product(self):
         rho1, rho2 = random_density(RNG, 2), random_density(RNG, 2)
         s = EntangledScenario(
             DensityOperator(tensor(rho1.matrix, rho2.matrix)),
             Observable(PAULI_Z), Observable(PAULI_X))
-        assert bayes_mixture_check(s, joint_distribution_formula(s)) < 1e-12
+        assert bayes_mixture_check(s, posteriors(s, joint_distribution_formula(s))) < 1e-12
 
     def test_random_sweep(self):
         for i in range(30):
             rng = np.random.default_rng(9000 + i)
             s = random_scenario(rng, 2 + i % 2, 2 + (i + 1) % 3)
-            assert bayes_mixture_check(s, joint_distribution_formula(s)) < 1e-9
+            assert bayes_mixture_check(s, posteriors(s, joint_distribution_formula(s))) < 1e-9
 
     def test_sweep_trial_computes_the_formula_once(self, monkeypatch):
         calls = []
@@ -408,6 +410,20 @@ class TestBayesMixture:
         reports = checks._trial(3, 2, 3)
         assert len(calls) == 1
         assert max(r.max_deviation for r in reports) < TOL_OP
+
+    def test_sweep_trial_conditions_each_outcome_once(self, monkeypatch):
+        traces, evolutions = [], []
+        monkeypatch.setattr(bayes, "partial_trace", lambda *args: traces.append(args)
+                            or partial_trace(*args))
+        monkeypatch.setattr(bayes, "herm_expm", lambda *args: evolutions.append(args)
+                            or herm_expm(*args))
+        reports = checks._trial(3, 2, 3)
+        assert max(r.max_deviation for r in reports) < TOL_OP
+        # one trace for the prior and one per outcome of the qubit's A
+        assert len(traces) == 1 + 2
+        # the formula evolves h1 to t and h2 to t + tau, the posteriors h1 and h2 to t, the
+        # prior h2 to t: one evolution each, not one per projection
+        assert len(evolutions) == 2 + 2 + 1
 
     def test_posterior_unitary_evolution(self):
         # posterior evolved by h2 for tau reproduces the delayed conditionals

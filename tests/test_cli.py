@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reductionlab import checks
+from reductionlab import bayes, checks
 from reductionlab.bayes import EntangledScenario
 from reductionlab.cli import main
 from reductionlab.modelio import (
@@ -23,7 +23,7 @@ from reductionlab.modelio import (
     scenario_to_dict,
 )
 from reductionlab.errors import ParseError, ValidationError
-from reductionlab.linalg import herm_expm, identity, tensor
+from reductionlab.linalg import herm_expm, identity, partial_trace, tensor
 from reductionlab.measurement import MeasurementModel, effects
 from reductionlab.quantum import (DensityOperator, Observable, operator_deviation, pure,
                                   random_density)
@@ -349,9 +349,18 @@ class TestEntangled:
         assert joint[(1.0, -1.0)] == pytest.approx(0.0, abs=1e-12)
         assert not doc["independent"]
 
+    def test_conditions_each_outcome_once(self, bell_scenario_path, monkeypatch, capsys):
+        traces = []
+        monkeypatch.setattr(bayes, "partial_trace", lambda *args: traces.append(args)
+                            or partial_trace(*args))
+        assert main(["entangled", bell_scenario_path, "--json"]) == 0
+        assert sorted(json.loads(capsys.readouterr().out)["posteriors"]) == ["-1", "1"]
+        # the prior twice (printed, and in the mixture check) and each outcome once
+        assert len(traces) == 2 + 2
+
     def test_nan_deviation_is_written_as_null(self, bell_scenario_path, monkeypatch, capsys):
         monkeypatch.setattr(checks, "BAYES_MIXTURE", checks.Check(
-            "bayes_mixture", checks.OPERATOR, lambda scenario, formula, oracle: float("nan")))
+            "bayes_mixture", checks.OPERATOR, lambda scenario, evaluated: float("nan")))
         assert main(["entangled", bell_scenario_path, "--json"]) == 4
         doc = strict_json(capsys.readouterr().out)
         assert doc["bayes_mixture_deviation"] is None

@@ -5,8 +5,9 @@
 #   tools/output_contract.sh OUTDIR
 #
 # OUTDIR/inputs holds the exported zoo, the CNOT model with an object
-# Hamiltonian, the Bell/CNOT scenario and two scenarios with free evolution
-# (one with a full-rank apparatus state sigma), and OUTDIR/NAME.out, NAME.err
+# Hamiltonian, the Bell/CNOT scenario, the Bell scenario without an
+# apparatus, two scenarios with free evolution (one with a full-rank
+# apparatus state sigma), and OUTDIR/NAME.out, NAME.err
 # and NAME.code each command's results.  Two checkouts give the same answers
 # when `diff -r OUT_A OUT_B` prints nothing.
 set -eu
@@ -32,8 +33,9 @@ with open(sys.argv[2], "w", encoding="utf-8") as fh:
     fh.write("\n")
 EOF
 
-# Bell state, Z on both sides, no free evolution, the CNOT model as apparatus
-python3 - "$zoo/cnot.json" "$out/inputs/bell.json" <<'EOF'
+# Bell state, Z on both sides, no free evolution, the CNOT model as apparatus;
+# bell_bare.json is the same scenario without the `apparatus` key
+python3 - "$zoo/cnot.json" "$out/inputs/bell.json" "$out/inputs/bell_bare.json" <<'EOF'
 import json
 import sys
 
@@ -45,10 +47,11 @@ with open(sys.argv[1], encoding="utf-8") as fh:
 doc = {"format_version": "1", "dim1": 2, "dim2": 2,
        "rho12": [half, zero, zero, half] + [zero] * 8 + [half, zero, zero, half],
        "a_matrix": z, "x_matrix": z, "h1": [zero] * 4, "h2": [zero] * 4,
-       "t": 0.0, "tau": 0.0, "apparatus": apparatus}
-with open(sys.argv[2], "w", encoding="utf-8") as fh:
-    json.dump(doc, fh, indent=1)
-    fh.write("\n")
+       "t": 0.0, "tau": 0.0}
+for path, extra in ((sys.argv[2], {"apparatus": apparatus}), (sys.argv[3], {})):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({**doc, **extra}, fh, indent=1)
+        fh.write("\n")
 EOF
 
 # Two scenarios with free evolution on both sides (nonzero h1, h2, t and tau)
@@ -103,6 +106,8 @@ run sweep-42 sweep --json --seed 42 --trials 30 --dims 2..4
 run sweep-7 sweep --json --seed 7 --trials 2 --dims 6,8
 run entangled-json entangled "$out/inputs/bell.json" --json
 run entangled-text entangled "$out/inputs/bell.json"
+run entangled-bare-json entangled "$out/inputs/bell_bare.json" --json
+run entangled-bare-text entangled "$out/inputs/bell_bare.json"
 run entangled-free-json entangled "$out/inputs/free.json" --json
 run entangled-swap-json entangled "$out/inputs/swap_free.json" --json
 run reduce-cnot-plus reduce "$zoo/cnot.json" --state + --outcome 1
