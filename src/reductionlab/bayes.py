@@ -10,10 +10,10 @@ The oracle stays the literal three-factor simulation on H1 (x) HA (x) H2
 and shares no structure with the formula; its docstring gives the
 apparatus dilation by which it never forms the state on that space.
 
-Bayes: `prior_state` is the distant subsystem's state rho2(t), and
-`posteriors` conditions it on every outcome of A with nonzero marginal,
-(a, P(a), rho2(t | a)), from one evolution of each subsystem;
-`posterior_state` is its one-outcome case.
+Bayes: `prior_state` is the distant subsystem's state rho2(t),
+`posterior_state` conditions it on one outcome of A, and `posteriors` on
+each with nonzero marginal.  They and the formula evolve the pair only
+through `EntangledScenario.evolution`.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .linalg import (
     TOL_PROB,
     as_matrix,
     dagger,
-    herm_expm,
     identity,
     is_hermitian,
     partial_trace,
@@ -49,7 +48,8 @@ from .quantum import (
 class EntangledScenario:
     """State rho12 on H1 (x) H2; A measured locally on subsystem 1 at time t,
     X measured on subsystem 2 at time t + tau; free Hamiltonians h1, h2.
-    The factors H1 and H2 are those of the observables A and X."""
+    The factors H1 and H2 are those of the observables A and X.  The scenario
+    owns its free evolution: h1 and h2 are diagonalized once, for `evolution`."""
 
     def __init__(self, rho12: DensityOperator, a_obs: Observable, x_obs: Observable,
                  h1=None, h2=None, t: float = 0.0, tau: float = 0.0):
@@ -63,17 +63,15 @@ class EntangledScenario:
             raise DimensionMismatchError("hamiltonian dimensions inconsistent with the observables")
         if not (is_hermitian(h1) and is_hermitian(h2)):
             raise ValidationError("h1 and h2 must be Hermitian")
-        scale = []  # max |eigenvalue| of h1, then of h2
-        for field, h in (("h1", h1), ("h2", h2)):
-            w = np.linalg.eigvalsh(h)
+        self._spectra = [np.linalg.eigh(h1), np.linalg.eigh(h2)]  # (w, v) of h1, then of h2
+        for field, (w, _) in zip(("h1", "h2"), self._spectra):
             if not np.isfinite(w).all():  # eigh overflows near the float limit
                 raise ValidationError(f"{field}: hamiltonian has a non-finite eigenvalue: {w}")
-            scale.append(float(np.max(np.abs(w))))
         if not (0.0 <= t < math.inf and 0.0 <= tau < math.inf):  # also rejects NaN
             raise ValidationError("times must be finite and nonnegative")
         # every phase w * time that an evolution below forms; the oracle's pair
         # evolution has max|eigenvalue of h12| <= w1 + w2 and runs for t and for tau
-        w1, w2 = scale
+        w1, w2 = (float(np.max(np.abs(w))) for w, _ in self._spectra)
         for field, w_max, time, value in (("h1", w1, "t", t), ("h2", w2, "t + tau", t + tau),
                                           ("h1 + h2", w1 + w2, "max(t, tau)", max(t, tau))):
             if not math.isfinite(w_max * value):
@@ -90,6 +88,11 @@ class EntangledScenario:
     @property
     def dims(self) -> tuple[int, int]:
         return self.a_obs.dim, self.x_obs.dim
+
+    def evolution(self, k: int, time: float) -> np.ndarray:
+        """e^{-i h_k time} on subsystem k (0 or 1), as `herm_expm` builds it."""
+        w, v = self._spectra[k]
+        return (v * np.exp(-1j * w * time)) @ dagger(v)
 
 
 class JointDistribution(Distribution):
@@ -109,19 +112,14 @@ class JointDistribution(Distribution):
         return 0.5 * sum(self._differences(other))
 
 
-def _heisenberg(h, time: float):
-    """P -> e^{+iht} P e^{-iht}, from one evolution."""
-    u = herm_expm(h, -time)
-    return lambda proj: u @ proj @ dagger(u)
-
-
 def joint_distribution_formula(s: EntangledScenario) -> JointDistribution:
     """Pr{A(t)=a, X(t+tau)=x} from Heisenberg-evolved projections on rho12."""
-    at_t, at_t_tau = _heisenberg(s.h1, s.t), _heisenberg(s.h2, s.t + s.tau)
-    ex_ts = [(x, at_t_tau(ex)) for x, ex in s.x_obs.spectrum]
+    # Heisenberg frame: P(time) = e^{+i h time} P e^{-i h time}
+    u1, u2 = s.evolution(0, -s.t), s.evolution(1, -(s.t + s.tau))
+    ex_ts = [(x, u2 @ ex @ dagger(u2)) for x, ex in s.x_obs.spectrum]
     entries = {}
     for a, ea in s.a_obs.spectrum:
-        ea_t = at_t(ea)
+        ea_t = u1 @ ea @ dagger(u1)
         for x, ex_t in ex_ts:
             p = float(np.trace(tensor(ea_t, ex_t) @ s.rho12.matrix).real)
             entries[(a, x)] = p
@@ -195,30 +193,26 @@ def joint_distribution_oracle(s: EntangledScenario, model: MeasurementModel) -> 
 def prior_state(s: EntangledScenario) -> DensityOperator:
     """rho2(t) = e^{-i h2 t} Tr_1[rho12] e^{+i h2 t}."""
     rho2 = partial_trace(s.rho12.matrix, s.dims, [1])
-    u = herm_expm(s.h2, s.t)
+    u = s.evolution(1, s.t)
     return DensityOperator(u @ rho2 @ dagger(u))
-
-
-def _posterior(s: EntangledScenario, a: float, at_t, u) -> DensityOperator:
-    """rho2(t | A(t)=a) from at_t = _heisenberg(h1, t) and u = e^{-i h2 t}."""
-    ea_t = at_t(s.a_obs.projection(a))
-    selected = partial_trace(tensor(ea_t, identity(s.dims[1])) @ s.rho12.matrix, s.dims, [1])
-    p = float(np.trace(selected).real)
-    if p <= TOL_PROB:
-        raise ZeroProbabilityError(f"outcome {a} has probability {p}; posterior undefined")
-    return DensityOperator(u @ selected @ dagger(u) / p)
 
 
 def posterior_state(s: EntangledScenario, a: float) -> DensityOperator:
     """rho2(t | A(t)=a): the distant subsystem's state conditioned on the local outcome."""
-    return _posterior(s, a, _heisenberg(s.h1, s.t), herm_expm(s.h2, s.t))
+    u1 = s.evolution(0, -s.t)
+    ea_t = u1 @ s.a_obs.projection(a) @ dagger(u1)
+    selected = partial_trace(tensor(ea_t, identity(s.dims[1])) @ s.rho12.matrix, s.dims, [1])
+    p = float(np.trace(selected).real)
+    if p <= TOL_PROB:
+        raise ZeroProbabilityError(f"outcome {a} has probability {p}; posterior undefined")
+    u = s.evolution(1, s.t)
+    return DensityOperator(u @ selected @ dagger(u) / p)
 
 
 def posteriors(s: EntangledScenario, joint: JointDistribution) -> list:
     """[(a, P(a), rho2(t | a))] for every outcome whose marginal P(a) in `joint`, the
     scenario's closed-form joint distribution, exceeds TOL_PROB, in outcome order."""
-    at_t, u = _heisenberg(s.h1, s.t), herm_expm(s.h2, s.t)
-    return [(a, p, _posterior(s, a, at_t, u))
+    return [(a, p, posterior_state(s, a))
             for a, p in joint.marginal_a().entries.items() if p > TOL_PROB]
 
 
@@ -234,7 +228,7 @@ def bayes_condition(j: JointDistribution, a: float) -> OutcomeDistribution:
     return OutcomeDistribution({x: p / total for x, p in row.items()})
 
 
-def bayes_mixture_check(s: EntangledScenario, conditioned) -> float:
-    """Max-entry deviation of the prior from sum_a P(a) rho2(t | a) over posteriors(s, joint)."""
+def bayes_mixture_check(prior: DensityOperator, conditioned) -> float:
+    """Max-entry deviation of the prior rho2(t) from sum_a P(a) rho2(t | a) over `conditioned`."""
     mix = sum(p * post.matrix for _, p, post in conditioned)
-    return operator_deviation(prior_state(s), mix)
+    return operator_deviation(prior, mix)

@@ -2,8 +2,9 @@
 
 A check maps its inputs to a max deviation: model checks take (model,
 evaluated), each state paired with its `measurement.reductions`; scenario
-checks take (scenario, evaluated), what `evaluate_scenario` returns. Both
-are computed once before any check runs and so outside every check's time.
+checks take (scenario, evaluated), the joints, prior and posteriors that
+`evaluate_scenario` returns. Both are computed once before any check runs
+and so outside every check's time.
 OPERATOR checks are judged by the caller's operator tolerance, PROBABILITY
 checks by TOL_PROB.
 Check functions look library names up when they run, so a caller that
@@ -19,12 +20,13 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .bayes import (EntangledScenario, bayes_condition, bayes_mixture_check,
-                    joint_distribution_formula, joint_distribution_oracle, posteriors)
+                    joint_distribution_formula, joint_distribution_oracle, posteriors,
+                    prior_state)
 from .linalg import TOL_OP, TOL_PROB, dagger, identity, max_abs
 from .measurement import (effects, mixture_identity_check, reductions,
                           satisfies_projection_postulate, state_reduction_sandwiched,
                           statistics_deviation, verify_measures)
-from .quantum import (DensityOperator, operator_deviation, random_density, rule1_distribution,
+from .quantum import (DensityOperator, born_distribution, operator_deviation, random_density,
                       spanning_states)
 from .zoo import random_indirect_model, random_observable
 
@@ -87,16 +89,19 @@ def _affinity(model, evaluated) -> float:
 
 def evaluate_scenario(scenario, model=None) -> SimpleNamespace:
     """What the scenario checks read, each computed once: the closed-form joint `formula`,
-    the apparatus-level joint `oracle` (None without a model) and the `posteriors`."""
+    the apparatus-level joint `oracle` (None without a model), the `prior` rho2(t) and
+    the `posteriors`."""
     formula = joint_distribution_formula(scenario)
     oracle = None if model is None else joint_distribution_oracle(scenario, model)
-    return SimpleNamespace(formula=formula, oracle=oracle, posteriors=posteriors(scenario, formula))
+    return SimpleNamespace(formula=formula, oracle=oracle, prior=prior_state(scenario),
+                           posteriors=posteriors(scenario, formula))
 
 
 def _posterior_conditionals(scenario, evaluated) -> float:
-    """Bayes conditionals P(x | a) against rule 1 applied to the posterior state."""
+    """Bayes conditionals P(x | a) against rule 1: X's statistics on the posterior at t + tau."""
+    u = scenario.evolution(1, scenario.tau)
     return max_abs([bayes_condition(evaluated.formula, a).max_deviation(
-        rule1_distribution(post, scenario.h2, scenario.x_obs, scenario.tau))
+        born_distribution(scenario.x_obs, DensityOperator(u @ post.matrix @ dagger(u))))
         for a, _, post in evaluated.posteriors])
 
 
@@ -113,7 +118,7 @@ SWEEP_MODEL_CHECKS = VERIFY_CHECKS + (Check("affinity", OPERATOR, _affinity),)
 LOCAL_MEASUREMENT = Check("local_measurement_theorem", OPERATOR, lambda scenario, evaluated:
                           evaluated.formula.max_deviation(evaluated.oracle))
 BAYES_MIXTURE = Check("bayes_mixture", OPERATOR, lambda scenario, evaluated:
-                      bayes_mixture_check(scenario, evaluated.posteriors))
+                      bayes_mixture_check(evaluated.prior, evaluated.posteriors))
 SCENARIO_CHECKS = (
     LOCAL_MEASUREMENT,
     BAYES_MIXTURE,

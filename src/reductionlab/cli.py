@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import checks
-from .bayes import bayes_condition, prior_state
+from .bayes import bayes_condition
 from .errors import (
     DimensionMismatchError,
     ParseError,
@@ -154,7 +154,7 @@ def cmd_entangled(args) -> int:
         report = checks.LOCAL_MEASUREMENT.run(args.tolerance, scenario, evaluated)
         doc["joint_oracle"] = _joint_to_list(evaluated.oracle)
         doc["formula_oracle_deviation"] = _deviation(report.max_deviation)
-    doc["prior"] = matrix_to_pairs(prior_state(scenario).matrix)
+    doc["prior"] = matrix_to_pairs(evaluated.prior.matrix)
     doc["posteriors"] = {_fmt(a): matrix_to_pairs(post.matrix)
                          for a, _, post in evaluated.posteriors}
     marg_x = formula.marginal_x()

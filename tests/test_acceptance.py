@@ -16,6 +16,7 @@ from reductionlab.bayes import (
     joint_distribution_oracle,
     posterior_state,
     posteriors,
+    prior_state,
 )
 from reductionlab.cli import main
 from reductionlab.linalg import TOL_OP, TOL_PROB, max_abs
@@ -189,7 +190,8 @@ def test_criterion_6_quantum_bayes_consistency():
     worst_cond = 0.0
     for scenario, _ in _scenario_sweep():
         joint = joint_distribution_formula(scenario)
-        worst_mix = max(worst_mix, bayes_mixture_check(scenario, posteriors(scenario, joint)))
+        worst_mix = max(worst_mix, bayes_mixture_check(prior_state(scenario),
+                                                       posteriors(scenario, joint)))
         marg = joint.marginal_a()
         for a in scenario.a_obs.eigenvalues:
             if marg.probability(a) <= TOL_PROB:

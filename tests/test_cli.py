@@ -355,8 +355,8 @@ class TestEntangled:
                             or partial_trace(*args))
         assert main(["entangled", bell_scenario_path, "--json"]) == 0
         assert sorted(json.loads(capsys.readouterr().out)["posteriors"]) == ["-1", "1"]
-        # the prior twice (printed, and in the mixture check) and each outcome once
-        assert len(traces) == 2 + 2
+        # the prior once, printed and in the mixture check alike, and each outcome once
+        assert len(traces) == 1 + 2
 
     def test_nan_deviation_is_written_as_null(self, bell_scenario_path, monkeypatch, capsys):
         monkeypatch.setattr(checks, "BAYES_MIXTURE", checks.Check(

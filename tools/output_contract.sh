@@ -7,7 +7,8 @@
 # OUTDIR/inputs holds the exported zoo, the CNOT model with an object
 # Hamiltonian, the Bell/CNOT scenario, the Bell scenario without an
 # apparatus, two scenarios with free evolution (one with a full-rank
-# apparatus state sigma), and OUTDIR/NAME.out, NAME.err
+# apparatus state sigma), a scenario in which one outcome of A has probability
+# 0, and OUTDIR/NAME.out, NAME.err
 # and NAME.code each command's results.  Two checkouts give the same answers
 # when `diff -r OUT_A OUT_B` prints nothing.
 set -eu
@@ -89,6 +90,31 @@ write(sys.argv[2], rng, swap_replace_model(random_density(rng, 3), random_observ
       0.9, 0.6)
 EOF
 
+# Z measured on a partner prepared in |0>, so that A = -1 has probability 0 and
+# only the outcome 1 is conditioned on: a random X, h1 = 0 and a random h2, and
+# the CNOT model as apparatus
+python3 - "$out/inputs/zero_outcome.json" <<'EOF'
+import json
+import sys
+
+import numpy as np
+
+from reductionlab.bayes import EntangledScenario
+from reductionlab.linalg import tensor
+from reductionlab.modelio import scenario_to_dict
+from reductionlab.quantum import DensityOperator, Observable, pure, random_density
+from reductionlab.zoo import KET_0, PAULI_Z, cnot_qubit_model, random_observable
+
+rng = np.random.default_rng(13)
+rho12 = DensityOperator(tensor(pure(KET_0).matrix, random_density(rng, 2).matrix))
+x_obs = random_observable(rng, 2)
+g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+s = EntangledScenario(rho12, Observable(PAULI_Z), x_obs, h2=(g + g.conj().T) / 2, t=0.4, tau=0.9)
+with open(sys.argv[1], "w", encoding="utf-8") as fh:
+    json.dump(scenario_to_dict(s, apparatus=cnot_qubit_model().model), fh, indent=1)
+    fh.write("\n")
+EOF
+
 run() {
     name=$1
     shift
@@ -110,6 +136,8 @@ run entangled-bare-json entangled "$out/inputs/bell_bare.json" --json
 run entangled-bare-text entangled "$out/inputs/bell_bare.json"
 run entangled-free-json entangled "$out/inputs/free.json" --json
 run entangled-swap-json entangled "$out/inputs/swap_free.json" --json
+run entangled-zero-json entangled "$out/inputs/zero_outcome.json" --json
+run entangled-zero-text entangled "$out/inputs/zero_outcome.json"
 run reduce-cnot-plus reduce "$zoo/cnot.json" --state + --outcome 1
 run reduce-cnot-minus-i reduce "$zoo/cnot.json" --state -i --outcome 1
 run reduce-swap-plus reduce "$zoo/swap_replace.json" --state + --outcome -1
