@@ -121,10 +121,7 @@ def _parse_state(spec: str, dim: int) -> DensityOperator:
         return DensityOperator(identity(dim) / dim)
     doc = load_json(spec)
     pairs = doc.get("matrix", doc) if isinstance(doc, dict) else doc
-    rho = DensityOperator(pairs_to_matrix(pairs, "state"))
-    if rho.dim != dim:
-        raise DimensionMismatchError(f"state dim {rho.dim} != object dim {dim}")
-    return rho
+    return DensityOperator(pairs_to_matrix(pairs, "state"))
 
 
 def cmd_reduce(args) -> int:

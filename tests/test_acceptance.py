@@ -1,5 +1,8 @@
 """Acceptance suite: one test per exit criterion, each printing a pass line.
 
+Criteria 1-4 run the named checks of `reductionlab.checks` that `verify` and
+`sweep` run, criterion 6 judges the Bayes mixture through them and criterion 7
+reads `verify`'s classification; the rest keep references of their own.
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
 """
 
@@ -7,34 +10,22 @@ import json
 
 import numpy as np
 import pytest
+from test_bayes import random_scenario
 
+from reductionlab import checks
 from reductionlab.bayes import (
     EntangledScenario,
     bayes_condition,
-    bayes_mixture_check,
     joint_distribution_formula,
     joint_distribution_oracle,
-    posterior_state,
-    posteriors,
-    prior_state,
 )
 from reductionlab.cli import main
-from reductionlab.linalg import TOL_OP, TOL_PROB, max_abs
-from reductionlab.measurement import (
-    effects,
-    mixture_identity_check,
-    outcome_probability,
-    reductions,
-    satisfies_projection_postulate,
-    state_reduction,
-    state_reduction_sandwiched,
-    verify_measures,
-)
+from reductionlab.linalg import TOL_OP, max_abs
+from reductionlab.measurement import reductions, state_reduction
 from reductionlab.modelio import model_to_dict, save_json
 from reductionlab.quantum import (
     DensityOperator,
     Observable,
-    born_distribution,
     ket,
     operator_deviation,
     pure,
@@ -68,63 +59,31 @@ def _random_states(seed: int, dim: int, n: int = 50):
     return [random_density(rng, dim) for _ in range(n)]
 
 
+def _verify_check(name: str, label: str, states):
+    """Run the verify check `name` on every zoo model, each with its `states(dim)`
+    reduced, and judge the worst deviation at the check's own tolerance kind."""
+    check = next(c for c in checks.VERIFY_CHECKS if c.name == name)
+    worst = max_abs([check.fn(e.model, [(rho, reductions(e.model, rho))
+                                         for rho in states(e.model.object_dim)])
+                     for e in ENTRIES])
+    _report(label, worst, check.report(worst, TOL_OP).tolerance)
+
+
 def test_criterion_1_measuring_condition():
-    worst = 0.0
-    for entry in ENTRIES:
-        for a, eff in effects(entry.model):
-            worst = max(worst, max_abs(eff - entry.model.measured.projection(a)))
-        assert verify_measures(entry.model) <= TOL_OP
-    _report("1 measuring-condition gate", worst, 1e-9)
+    # the measuring condition reads the effects only, so no state is reduced
+    _verify_check("measures", "1 measuring-condition gate", lambda dim: [])
 
 
 def test_criterion_2_statistics_consistency():
-    worst = 0.0
-    for entry in ENTRIES:
-        for rho in _random_states(21, entry.model.object_dim):
-            dev = outcome_probability(entry.model, rho).max_deviation(
-                born_distribution(entry.model.measured, rho))
-            worst = max(worst, dev)
-    _report("2 statistics consistency", worst, 1e-10)
+    _verify_check("statistics", "2 statistics consistency", lambda dim: _random_states(21, dim))
 
 
 def test_criterion_3_reduction_equivalence():
-    worst = 0.0
-    for entry in ENTRIES:
-        for rho in spanning_states(entry.model.object_dim):
-            dist = outcome_probability(entry.model, rho)
-            for a in entry.model.outcomes():
-                if dist.probability(a) > 1e-10:
-                    worst = max(worst, operator_deviation(
-                        state_reduction(entry.model, rho, a),
-                        state_reduction_sandwiched(entry.model, rho, a)))
-    _report("3 reduction equivalence", worst, 1e-9)
+    _verify_check("reduction_equivalence", "3 reduction equivalence", spanning_states)
 
 
 def test_criterion_4_mixture_identity():
-    worst = 0.0
-    for entry in ENTRIES:
-        for rho in _random_states(23, entry.model.object_dim):
-            reduced = reductions(entry.model, rho)
-            worst = max(worst, mixture_identity_check(entry.model, rho, reduced))
-    _report("4 mixture identity", worst, 1e-9)
-
-
-def _random_hermitian(rng, d):
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return (g + g.conj().T) / 2
-
-
-def _random_scenario(rng, d1, d2, a_obs):
-    rho12 = random_density(rng, d1 * d2)
-    return EntangledScenario(
-        DensityOperator(rho12.matrix),
-        a_obs=a_obs,
-        x_obs=random_observable(rng, d2),
-        h1=_random_hermitian(rng, d1),
-        h2=_random_hermitian(rng, d2),
-        t=float(rng.uniform(0.1, 2.0)),
-        tau=float(rng.uniform(0.0, 2.0)),
-    )
+    _verify_check("mixture_identity", "4 mixture identity", lambda dim: _random_states(23, dim))
 
 
 def _scenario_sweep():
@@ -134,16 +93,16 @@ def _scenario_sweep():
         d2 = int(rng.integers(2, 4))
         z = Observable(PAULI_Z)
         # cnot family: qubit object, Pauli-Z measured
-        yield _random_scenario(rng, 2, d2, z), cnot_qubit_model().model
+        yield random_scenario(rng, 2, d2, z), cnot_qubit_model().model
         # swap family: random replacement state, random object dim
         d1 = int(rng.integers(2, 4))
         a_obs = random_observable(rng, d1)
-        s = _random_scenario(rng, d1, d2, a_obs)
+        s = random_scenario(rng, d1, d2, a_obs)
         yield s, swap_replace_model(random_density(rng, d1), a_obs).model
         # random indirect family
         d1 = int(rng.integers(2, 4))
         a_obs = random_observable(rng, d1)
-        s = _random_scenario(rng, d1, d2, a_obs)
+        s = random_scenario(rng, d1, d2, a_obs)
         n_out = len(a_obs.spectrum)
         model = random_indirect_model(
             int(rng.integers(0, 2**31)), d1, n_out + int(rng.integers(0, 2)),
@@ -186,31 +145,24 @@ def test_criterion_5_local_measurement_theorem():
 
 
 def test_criterion_6_quantum_bayes_consistency():
-    worst_mix = 0.0
-    worst_cond = 0.0
+    mixture, conditionals = [], []
     for scenario, _ in _scenario_sweep():
-        joint = joint_distribution_formula(scenario)
-        worst_mix = max(worst_mix, bayes_mixture_check(prior_state(scenario),
-                                                       posteriors(scenario, joint)))
-        marg = joint.marginal_a()
-        for a in scenario.a_obs.eigenvalues:
-            if marg.probability(a) <= TOL_PROB:
-                continue
-            cond = bayes_condition(joint, a)
-            reproduced = rule1_distribution(
-                posterior_state(scenario, a), scenario.h2,
-                scenario.x_obs, scenario.tau)
-            worst_cond = max(worst_cond, cond.max_deviation(reproduced))
-    assert worst_mix <= 1e-9
-    _report("6 quantum Bayes consistency", worst_cond, 1e-10)
+        evaluated = checks.evaluate_scenario(scenario)
+        mixture.append(checks.BAYES_MIXTURE.fn(scenario, evaluated))
+        # rule 1 through the tests' own herm_expm reference, not the scenario's evolution
+        conditionals += [bayes_condition(evaluated.formula, a).max_deviation(
+            rule1_distribution(posterior, scenario.h2, scenario.x_obs, scenario.tau))
+            for a, _, posterior in evaluated.posteriors]
+    assert checks.BAYES_MIXTURE.report(max_abs(mixture), TOL_OP).passed
+    _report("6 quantum Bayes consistency", max_abs(conditionals), 1e-10)
 
 
 def test_criterion_7_projection_postulate_classification():
-    assert satisfies_projection_postulate(cnot_qubit_model().model)
-    assert satisfies_projection_postulate(
-        controlled_shift_model(Observable(np.diag([0.0, 1.0, 2.0]))).model)
+    assert checks.verify(cnot_qubit_model().model, TOL_OP)[1] == "projective"
+    assert checks.verify(controlled_shift_model(Observable(np.diag([0.0, 1.0, 2.0]))).model,
+                         TOL_OP)[1] == "projective"
     swap = swap_replace_model(pure(KET_PLUS), Observable(PAULI_Z))
-    assert not satisfies_projection_postulate(swap.model)
+    assert checks.verify(swap.model, TOL_OP)[1] == "non-projective"
     # concrete witness: rho_a = |+><+| while the Lueders prediction is |0><0|
     rho_a = state_reduction(swap.model, pure(KET_PLUS), 1.0)
     assert operator_deviation(rho_a, pure(KET_PLUS)) < 1e-10

@@ -17,6 +17,7 @@ from reductionlab.bayes import EntangledScenario
 from reductionlab.cli import main
 from reductionlab.modelio import (
     load_json,
+    matrix_to_pairs,
     model_from_dict,
     model_to_dict,
     save_json,
@@ -29,6 +30,7 @@ from reductionlab.quantum import (DensityOperator, Observable, operator_deviatio
                                   random_density)
 from reductionlab.zoo import (
     KET_0,
+    KET_1,
     PAULI_X,
     PAULI_Z,
     cnot_qubit_model,
@@ -286,6 +288,36 @@ class TestReduce:
         doc = json.loads(capsys.readouterr().out)
         m = np.array([complex(re, im) for re, im in doc["matrix"]]).reshape(2, 2)
         assert np.allclose(m, np.full((2, 2), 0.5), atol=1e-10)
+
+    @pytest.mark.parametrize("wrap", [lambda pairs: {"matrix": pairs}, lambda pairs: pairs],
+                             ids=["matrix-key", "bare-list"])
+    def test_state_file(self, cnot_path, tmp_path, capsys, wrap):
+        assert main(["reduce", cnot_path, "--state", "0", "--outcome", "1"]) == 0
+        named = capsys.readouterr()
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(wrap(matrix_to_pairs(pure(KET_0).matrix))))
+        assert main(["reduce", cnot_path, "--state", str(path), "--outcome", "1"]) == 0
+        assert capsys.readouterr() == named
+
+    def test_state_file_of_wrong_dimension(self, cnot_path, tmp_path, capsys):
+        path = tmp_path / "qutrit.json"
+        path.write_text(json.dumps({"matrix": matrix_to_pairs(identity(3) / 3)}))
+        assert main(["reduce", cnot_path, "--state", str(path), "--outcome", "1"]) == 4
+        assert capsys.readouterr() == ("", "validation error: state dim 3 != object dim 2\n")
+
+    def test_named_state_needs_a_qubit(self, tmp_path, capsys):
+        entry = next(e for e in standard_entries() if e.name == "controlled_shift")
+        path = tmp_path / "shift.json"
+        save_json(str(path), model_to_dict(entry.model))
+        assert main(["reduce", str(path), "--state", "+", "--outcome", "0"]) == 4
+        assert capsys.readouterr() == (
+            "", "validation error: named state '+' requires a qubit object, dim is 3\n")
+
+    def test_mixed_state(self, cnot_path, capsys):
+        assert main(["reduce", cnot_path, "--state", "mixed", "--outcome", "-1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["probability"] == pytest.approx(0.5)
+        assert doc["matrix"] == matrix_to_pairs(pure(KET_1).matrix)
 
     def test_outcome_not_in_spectrum(self, cnot_path, capsys):
         assert main(["reduce", cnot_path, "--state", "+", "--outcome", "3"]) == 4
