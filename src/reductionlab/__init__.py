@@ -57,7 +57,6 @@ from .quantum import (
     rule1_distribution,
 )
 from .zoo import (
-    ZooEntry,
     cnot_qubit_model,
     controlled_shift_model,
     random_indirect_model,

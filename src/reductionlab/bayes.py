@@ -108,9 +108,6 @@ class JointDistribution(Distribution):
     marginal_a = partialmethod(_marginal, 0)
     marginal_x = partialmethod(_marginal, 1)
 
-    def total_variation(self, other: "JointDistribution") -> float:
-        return 0.5 * sum(self._differences(other))
-
 
 def joint_distribution_formula(s: EntangledScenario) -> JointDistribution:
     """Pr{A(t)=a, X(t+tau)=x} from Heisenberg-evolved projections on rho12."""

@@ -146,7 +146,7 @@ def _trial(seed: int, d_obj: int, d_other: int) -> list[Report]:
     """Timed sweep checks, judged at TOL_OP, on one random model, ten random
     states and an entangled scenario that uses the model as its local apparatus."""
     rng = np.random.default_rng(seed)
-    model = random_indirect_model(seed, d_obj, d_obj + int(rng.integers(0, 2))).model
+    model = random_indirect_model(seed, d_obj, d_obj + int(rng.integers(0, 2)))
     states = [random_density(rng, d_obj) for _ in range(10)]
     evaluated = [(rho, reductions(model, rho)) for rho in states]
     reports = [check.run(TOL_OP, model, evaluated) for check in SWEEP_MODEL_CHECKS]

@@ -1,7 +1,7 @@
 """Command-line front end: verify, reduce, entangled, sweep, export-zoo.
 
-Exit codes: 0 ok, 1 usage error, 2 missing file, 3 parse error,
-4 validation error, 5 zero-probability outcome.
+Exit codes: 0 ok, 1 usage error, 2 a named path the system cannot open or
+create, 3 parse error, 4 validation error, 5 zero-probability outcome.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .modelio import (
     scenario_from_dict,
 )
 from .quantum import DensityOperator, outcome_index, pure
-from .zoo import KET_0, KET_1, KET_MINUS, KET_PLUS, standard_entries
+from .zoo import KET_0, KET_1, KET_MINUS, KET_PLUS, standard_models
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -187,9 +187,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_export_zoo(args) -> int:
     os.makedirs(args.outdir, exist_ok=True)
-    for entry in standard_entries():
-        path = os.path.join(args.outdir, f"{entry.name}.json")
-        save_json(path, model_to_dict(entry.model))
+    for name, model in standard_models().items():
+        path = os.path.join(args.outdir, f"{name}.json")
+        save_json(path, model_to_dict(model))
         print(path)
     return EXIT_OK
 
@@ -276,7 +276,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, FileExistsError) as exc:
+    except OSError as exc:
+        if exc.filename is None:  # not about a path the user named (a closed pipe, say)
+            raise
         print(f"error: {exc.strerror}: {exc.filename}", file=sys.stderr)
         return EXIT_MISSING_FILE
     except ParseError as exc:

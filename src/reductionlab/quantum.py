@@ -102,14 +102,11 @@ class Distribution:
             raise ValidationError(f"probabilities sum to {total}, expected 1")
         self.entries = clean
 
-    def _differences(self, other: "Distribution") -> list[float]:
+    def max_deviation(self, other: "Distribution") -> float:
         keys = sorted(self.entries)
         if keys != sorted(other.entries):
             raise DimensionMismatchError("distributions have different outcome sets")
-        return [abs(self.entries[k] - other.entries[k]) for k in keys]
-
-    def max_deviation(self, other: "Distribution") -> float:
-        return max(self._differences(other))
+        return max(abs(self.entries[k] - other.entries[k]) for k in keys)
 
 
 class OutcomeDistribution(Distribution):

@@ -1,17 +1,19 @@
 """Canonical measurement models used as fixtures.
 
+Each constructor returns a validated MeasurementModel: the apparatus
+triple (sigma, U, B) and the observable it claims to measure.
+standard_models() maps the names `export-zoo` writes to the fixed models.
+
 All randomness comes from numpy's default_rng (PCG64, a portable 64-bit
 generator): the same seed reproduces the same model matrices bit for bit.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
-from .linalg import TOL_OP, dagger, identity, max_abs, tensor
+from .linalg import dagger, identity, tensor
 from .measurement import MeasurementModel
 from .quantum import DensityOperator, Observable, pure
 
@@ -25,28 +27,21 @@ KET_PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
 KET_MINUS = np.array([1, -1], dtype=complex) / np.sqrt(2)
 
 
-class ZooEntry(NamedTuple):
-    name: str
-    model: MeasurementModel
-    expected_projective: bool
-
-
-def cnot_qubit_model() -> ZooEntry:
+def cnot_qubit_model() -> MeasurementModel:
     """Qubit indirect model: pointer at |0>, object-controlled NOT, Pauli-Z probe."""
     cnot = np.zeros((4, 4), dtype=complex)
     for s in range(2):
         for p in range(2):
             cnot[s * 2 + (p ^ s), s * 2 + p] = 1.0
-    model = MeasurementModel(
+    return MeasurementModel(
         sigma=pure(KET_0),
         u=cnot,
         probe=Observable(PAULI_Z),
         measured=Observable(PAULI_Z),
     )
-    return ZooEntry(name="cnot", model=model, expected_projective=True)
 
 
-def swap_replace_model(sigma_out: DensityOperator, a_obs: Observable) -> ZooEntry:
+def swap_replace_model(sigma_out: DensityOperator, a_obs: Observable) -> MeasurementModel:
     """Measure-and-replace: SWAP the object with a fresh apparatus state.
 
     The outcome statistics are exactly those of a_obs, but the object is
@@ -61,21 +56,12 @@ def swap_replace_model(sigma_out: DensityOperator, a_obs: Observable) -> ZooEntr
     for i in range(d):
         for j in range(d):
             swap[j * d + i, i * d + j] = 1.0
-    model = MeasurementModel(
+    return MeasurementModel(
         sigma=sigma_out,
         u=swap,
         probe=Observable(a_obs.matrix),
         measured=a_obs,
     )
-    projective = all(
-        _is_normalized_eigenprojection(sigma_out, a_obs, a) for a in a_obs.eigenvalues
-    )
-    return ZooEntry(name="swap_replace", model=model, expected_projective=projective)
-
-
-def _is_normalized_eigenprojection(sigma: DensityOperator, obs: Observable, a: float) -> bool:
-    proj = obs.projection(a)
-    return max_abs(sigma.matrix - proj / np.trace(proj).real) <= TOL_OP
 
 
 def _cyclic_shift(n: int) -> np.ndarray:
@@ -85,7 +71,8 @@ def _cyclic_shift(n: int) -> np.ndarray:
     return s
 
 
-def controlled_shift_model(a_obs: Observable, apparatus_dim: int | None = None) -> ZooEntry:
+def controlled_shift_model(a_obs: Observable,
+                           apparatus_dim: int | None = None) -> MeasurementModel:
     """Finite pointer model: eigenspace k of A shifts a rest pointer by k steps.
 
     The pointer observable copies A's sorted spectrum; surplus pointer
@@ -107,13 +94,12 @@ def controlled_shift_model(a_obs: Observable, apparatus_dim: int | None = None) 
     values = [a for a, _ in spectrum]
     for j in range(na):
         b[j, j] = values[j] if j < n else values[0]
-    model = MeasurementModel(
+    return MeasurementModel(
         sigma=pure(np.eye(na, dtype=complex)[:, 0]),
         u=u,
         probe=Observable(b),
         measured=a_obs,
     )
-    return ZooEntry(name="controlled_shift", model=model, expected_projective=True)
 
 
 def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -141,7 +127,7 @@ def random_observable(rng: np.random.Generator, dim: int,
 
 
 def random_indirect_model(seed: int, object_dim: int, apparatus_dim: int,
-                          a_obs: Observable | None = None) -> ZooEntry:
+                          a_obs: Observable | None = None) -> MeasurementModel:
     """Seeded random model that provably measures its observable.
 
     Starts from the controlled-shift model and conjugates the apparatus
@@ -160,25 +146,26 @@ def random_indirect_model(seed: int, object_dim: int, apparatus_dim: int,
         raise DimensionMismatchError(
             f"apparatus dim {apparatus_dim} smaller than outcome count {n}"
         )
-    base = controlled_shift_model(a_obs, apparatus_dim).model
+    base = controlled_shift_model(a_obs, apparatus_dim)
     w = haar_unitary(rng, apparatus_dim)
     one_w = tensor(identity(object_dim), w)
-    model = MeasurementModel(
+    return MeasurementModel(
         sigma=DensityOperator(w @ base.sigma.matrix @ dagger(w)),
         u=one_w @ base.u @ dagger(one_w),
         probe=Observable(w @ base.probe.matrix @ dagger(w)),
         measured=a_obs,
     )
-    return ZooEntry(name=f"random_indirect_{seed}", model=model, expected_projective=True)
 
 
-def standard_entries() -> list[ZooEntry]:
-    """The fixed fixtures exercised by the verification and CLI suites."""
-    return [
-        cnot_qubit_model(),
-        swap_replace_model(pure(KET_PLUS), Observable(PAULI_Z)),
-        controlled_shift_model(Observable(np.diag([0.0, 1.0, 2.0]).astype(complex))),
-        controlled_shift_model(Observable(np.diag([0.0, 0.0, 1.0]).astype(complex)))._replace(
-            name="controlled_shift_degenerate"),
-        random_indirect_model(seed=42, object_dim=3, apparatus_dim=4),
-    ]
+def standard_models() -> dict[str, MeasurementModel]:
+    """The fixed fixtures exercised by the verification and CLI suites, by
+    the file name `export-zoo` gives each."""
+    return {
+        "cnot": cnot_qubit_model(),
+        "swap_replace": swap_replace_model(pure(KET_PLUS), Observable(PAULI_Z)),
+        "controlled_shift": controlled_shift_model(
+            Observable(np.diag([0.0, 1.0, 2.0]).astype(complex))),
+        "controlled_shift_degenerate": controlled_shift_model(
+            Observable(np.diag([0.0, 0.0, 1.0]).astype(complex))),
+        "random_indirect_42": random_indirect_model(seed=42, object_dim=3, apparatus_dim=4),
+    }

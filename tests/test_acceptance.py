@@ -20,6 +20,7 @@ from reductionlab.bayes import (
     joint_distribution_oracle,
 )
 from reductionlab.cli import main
+from reductionlab.errors import DimensionMismatchError
 from reductionlab.linalg import TOL_OP, max_abs
 from reductionlab.measurement import reductions, state_reduction
 from reductionlab.modelio import model_to_dict, save_json
@@ -41,11 +42,11 @@ from reductionlab.zoo import (
     controlled_shift_model,
     random_indirect_model,
     random_observable,
-    standard_entries,
+    standard_models,
     swap_replace_model,
 )
 
-ENTRIES = standard_entries()
+ZOO = standard_models().values()
 
 
 def _report(name: str, worst: float, tol: float):
@@ -63,9 +64,9 @@ def _verify_check(name: str, label: str, states):
     """Run the verify check `name` on every zoo model, each with its `states(dim)`
     reduced, and judge the worst deviation at the check's own tolerance kind."""
     check = next(c for c in checks.VERIFY_CHECKS if c.name == name)
-    worst = max_abs([check.fn(e.model, [(rho, reductions(e.model, rho))
-                                         for rho in states(e.model.object_dim)])
-                     for e in ENTRIES])
+    worst = max_abs([check.fn(model, [(rho, reductions(model, rho))
+                                      for rho in states(model.object_dim)])
+                     for model in ZOO])
     _report(label, worst, check.report(worst, TOL_OP).tolerance)
 
 
@@ -93,12 +94,12 @@ def _scenario_sweep():
         d2 = int(rng.integers(2, 4))
         z = Observable(PAULI_Z)
         # cnot family: qubit object, Pauli-Z measured
-        yield random_scenario(rng, 2, d2, z), cnot_qubit_model().model
+        yield random_scenario(rng, 2, d2, z), cnot_qubit_model()
         # swap family: random replacement state, random object dim
         d1 = int(rng.integers(2, 4))
         a_obs = random_observable(rng, d1)
         s = random_scenario(rng, d1, d2, a_obs)
-        yield s, swap_replace_model(random_density(rng, d1), a_obs).model
+        yield s, swap_replace_model(random_density(rng, d1), a_obs)
         # random indirect family
         d1 = int(rng.integers(2, 4))
         a_obs = random_observable(rng, d1)
@@ -106,8 +107,16 @@ def _scenario_sweep():
         n_out = len(a_obs.spectrum)
         model = random_indirect_model(
             int(rng.integers(0, 2**31)), d1, n_out + int(rng.integers(0, 2)),
-            a_obs=a_obs).model
+            a_obs=a_obs)
         yield s, model
+
+
+def _total_variation(p, q) -> float:
+    """Half the summed absolute differences of two distributions on one outcome set."""
+    keys = sorted(p.entries)
+    if keys != sorted(q.entries):
+        raise DimensionMismatchError("distributions have different outcome sets")
+    return 0.5 * sum(abs(p.entries[k] - q.entries[k]) for k in keys)
 
 
 def _bell_scenario(x_matrix):
@@ -125,19 +134,19 @@ def test_criterion_5_local_measurement_theorem():
     assert jf.entries[(1.0, 1.0)] == pytest.approx(0.5, abs=1e-12)
     assert jf.entries[(-1.0, -1.0)] == pytest.approx(0.5, abs=1e-12)
     assert jf.entries[(1.0, -1.0)] == pytest.approx(0.0, abs=1e-12)
-    worst = max(worst, jf.total_variation(
-        joint_distribution_oracle(bell_zz, cnot_qubit_model().model)))
+    oracle = joint_distribution_oracle(bell_zz, cnot_qubit_model())
+    worst = max(worst, _total_variation(jf, oracle))
     bell_zx = _bell_scenario(PAULI_X)
     jf = joint_distribution_formula(bell_zx)
     for p in jf.entries.values():
         assert p == pytest.approx(0.25, abs=1e-12)
-    worst = max(worst, jf.total_variation(
-        joint_distribution_oracle(bell_zx, cnot_qubit_model().model)))
+    oracle = joint_distribution_oracle(bell_zx, cnot_qubit_model())
+    worst = max(worst, _total_variation(jf, oracle))
     # 30 random scenarios x 3 apparatus families
     count = 0
     for scenario, model in _scenario_sweep():
-        tv = joint_distribution_formula(scenario).total_variation(
-            joint_distribution_oracle(scenario, model))
+        tv = _total_variation(joint_distribution_formula(scenario),
+                              joint_distribution_oracle(scenario, model))
         worst = max(worst, tv)
         count += 1
     assert count == 90
@@ -158,15 +167,15 @@ def test_criterion_6_quantum_bayes_consistency():
 
 
 def test_criterion_7_projection_postulate_classification():
-    assert checks.verify(cnot_qubit_model().model, TOL_OP)[1] == "projective"
-    assert checks.verify(controlled_shift_model(Observable(np.diag([0.0, 1.0, 2.0]))).model,
+    assert checks.verify(cnot_qubit_model(), TOL_OP)[1] == "projective"
+    assert checks.verify(controlled_shift_model(Observable(np.diag([0.0, 1.0, 2.0]))),
                          TOL_OP)[1] == "projective"
     swap = swap_replace_model(pure(KET_PLUS), Observable(PAULI_Z))
-    assert checks.verify(swap.model, TOL_OP)[1] == "non-projective"
+    assert checks.verify(swap, TOL_OP)[1] == "non-projective"
     # concrete witness: rho_a = |+><+| while the Lueders prediction is |0><0|
-    rho_a = state_reduction(swap.model, pure(KET_PLUS), 1.0)
+    rho_a = state_reduction(swap, pure(KET_PLUS), 1.0)
     assert operator_deviation(rho_a, pure(KET_PLUS)) < 1e-10
-    lueders = swap.model.measured.projection(1.0)
+    lueders = swap.measured.projection(1.0)
     witness = max_abs(np.diag(np.diag(rho_a.matrix)) - lueders)
     assert witness == pytest.approx(0.5, abs=1e-10)
     print("ACCEPTANCE PASS 7 projection-postulate classification: "
@@ -174,9 +183,9 @@ def test_criterion_7_projection_postulate_classification():
 
 
 def test_criterion_8_degenerate_spectrum_coherence():
-    entry = controlled_shift_model(Observable(np.diag([0.0, 0.0, 1.0])))
+    model = controlled_shift_model(Observable(np.diag([0.0, 0.0, 1.0])))
     rho = pure(ket(1, 1, 1))
-    out = state_reduction(entry.model, rho, 0.0)
+    out = state_reduction(model, rho, 0.0)
     # input off-diagonal 1/3 within the degenerate block, renormalized by 2/3
     dev = abs(out.matrix[0, 1] - 0.5)
     _report("8 degenerate-spectrum coherence", dev, 1e-10)
@@ -203,7 +212,7 @@ def test_criterion_9_cli_contract(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{oops")
     assert main(["verify", str(bad)]) == 3
-    doc = model_to_dict(cnot_qubit_model().model)
+    doc = model_to_dict(cnot_qubit_model())
     doc["u"] = [[0.5, 0.0]] * 16
     nonunitary = tmp_path / "nonunitary.json"
     save_json(str(nonunitary), doc)

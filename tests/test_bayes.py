@@ -150,7 +150,7 @@ class TestOracle:
     def test_bell_zz_with_cnot_apparatus(self):
         s = EntangledScenario(bell_state(), Observable(PAULI_Z), Observable(PAULI_Z))
         dev = joint_distribution_formula(s).max_deviation(
-            joint_distribution_oracle(s, cnot_qubit_model().model))
+            joint_distribution_oracle(s, cnot_qubit_model()))
         assert dev < 1e-9
 
     def test_product_state_free(self):
@@ -159,7 +159,7 @@ class TestOracle:
             DensityOperator(tensor(rho1.matrix, rho2.matrix)),
             Observable(PAULI_Z), Observable(PAULI_X))
         dev = joint_distribution_formula(s).max_deviation(
-            joint_distribution_oracle(s, cnot_qubit_model().model))
+            joint_distribution_oracle(s, cnot_qubit_model()))
         assert dev < 1e-9
 
     @pytest.mark.parametrize("a_matrix, model, message", [
@@ -167,7 +167,7 @@ class TestOracle:
         (PAULI_Z, MeasurementModel(pure(KET_0), identity(4), Observable(PAULI_Z),
                                    Observable(PAULI_Z)), "measuring condition"),
         # the CNOT model measures Z, the scenario's A is X
-        (PAULI_X, cnot_qubit_model().model, "does not target"),
+        (PAULI_X, cnot_qubit_model(), "does not target"),
     ], ids=["fails-measuring-condition", "wrong-target"])
     def test_rejects_unverified_apparatus(self, a_matrix, model, message):
         s = EntangledScenario(bell_state(), Observable(a_matrix), Observable(PAULI_Z))
@@ -181,9 +181,9 @@ class TestOracle:
             # cnot family fixes the measured observable to Pauli-Z on a qubit
             s = random_scenario(rng, 2, d2, a_obs=Observable(PAULI_Z))
             for model in (
-                cnot_qubit_model().model,
-                swap_replace_model(random_density(rng, 2), s.a_obs).model,
-                controlled_shift_model(s.a_obs, apparatus_dim=3).model,
+                cnot_qubit_model(),
+                swap_replace_model(random_density(rng, 2), s.a_obs),
+                controlled_shift_model(s.a_obs, apparatus_dim=3),
             ):
                 dev = joint_distribution_formula(s).max_deviation(
                     joint_distribution_oracle(s, model))
@@ -214,16 +214,16 @@ def literal_oracle(s, model):
 
 
 def _shift_apparatus(rng, d1):
-    return controlled_shift_model(random_observable(rng, d1, n_outcomes=d1), apparatus_dim=4).model
+    return controlled_shift_model(random_observable(rng, d1, n_outcomes=d1), apparatus_dim=4)
 
 
 def _indirect_apparatus(d_app):
-    return lambda rng, d1: random_indirect_model(int(rng.integers(1 << 30)), d1, d_app).model
+    return lambda rng, d1: random_indirect_model(int(rng.integers(1 << 30)), d1, d_app)
 
 
 def _swap_apparatus(rng, d1):
     """A full-rank sigma: every pointer column and its sqrt(s_l) weight counts."""
-    return swap_replace_model(random_density(rng, d1), random_observable(rng, d1)).model
+    return swap_replace_model(random_density(rng, d1), random_observable(rng, d1))
 
 
 # (apparatus factory, d1, d2, X outcome count or None for a random one, t, tau)
@@ -297,7 +297,7 @@ class TestOracleAgainstLiteral:
            d2=st.integers(2, 4), t=st.floats(0.0, 2.0), tau=st.floats(0.0, 2.0))
     def test_matches_formula(self, seed, d1, extra, d2, t, tau):
         rng = np.random.default_rng(seed)
-        model = random_indirect_model(seed, d1, d1 + extra).model
+        model = random_indirect_model(seed, d1, d1 + extra)
         s = random_scenario(rng, d1, d2, model.measured, t=t, tau=tau)
         oracle = joint_distribution_oracle(s, model)
         assert joint_distribution_formula(s).max_deviation(oracle) < TOL_OP

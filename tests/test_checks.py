@@ -13,10 +13,10 @@ from reductionlab import bayes, checks, measurement
 from reductionlab.bayes import JointDistribution
 from reductionlab.linalg import TOL_OP, identity
 from reductionlab.quantum import DensityOperator, Observable
-from reductionlab.zoo import PAULI_X, cnot_qubit_model, standard_entries
+from reductionlab.zoo import PAULI_X, cnot_qubit_model, standard_models
 
-CNOT = cnot_qubit_model().model
-SWAP = next(e.model for e in standard_entries() if e.name == "swap_replace")
+CNOT = cnot_qubit_model()
+SWAP = standard_models()["swap_replace"]
 
 
 def sweep():

@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import math
+import os
 import tempfile
 import warnings
 
@@ -36,7 +37,7 @@ from reductionlab.zoo import (
     cnot_qubit_model,
     random_indirect_model,
     random_observable,
-    standard_entries,
+    standard_models,
     swap_replace_model,
 )
 
@@ -52,7 +53,7 @@ def strict_json(text: str):
 @pytest.fixture
 def cnot_path(tmp_path):
     path = tmp_path / "cnot.json"
-    save_json(str(path), model_to_dict(cnot_qubit_model().model))
+    save_json(str(path), model_to_dict(cnot_qubit_model()))
     return str(path)
 
 
@@ -61,7 +62,7 @@ def bell_scenario_doc() -> dict:
     s = EntangledScenario(
         DensityOperator(np.outer(phi, phi)),
         Observable(PAULI_Z), Observable(PAULI_Z))
-    return scenario_to_dict(s, apparatus=cnot_qubit_model().model)
+    return scenario_to_dict(s, apparatus=cnot_qubit_model())
 
 
 @pytest.fixture
@@ -72,13 +73,13 @@ def bell_scenario_path(tmp_path):
 
 
 class TestModelRoundTrip:
-    @pytest.mark.parametrize("entry", standard_entries(), ids=lambda e: e.name)
-    def test_round_trip_identical(self, entry):
-        doc = model_to_dict(entry.model)
+    @pytest.mark.parametrize("model", standard_models().values(), ids=list(standard_models()))
+    def test_round_trip_identical(self, model):
+        doc = model_to_dict(model)
         reparsed = model_from_dict(json.loads(json.dumps(doc)))
-        assert operator_deviation(reparsed.u, entry.model.u) == 0.0
-        assert operator_deviation(reparsed.sigma, entry.model.sigma) == 0.0
-        assert operator_deviation(reparsed.probe.matrix, entry.model.probe.matrix) == 0.0
+        assert operator_deviation(reparsed.u, model.u) == 0.0
+        assert operator_deviation(reparsed.sigma, model.sigma) == 0.0
+        assert operator_deviation(reparsed.probe.matrix, model.probe.matrix) == 0.0
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 4), extra=st.integers(0, 2),
@@ -86,9 +87,9 @@ class TestModelRoundTrip:
     def test_json_text_round_trip_is_exact(self, seed, d, extra, swap):
         rng = np.random.default_rng(seed)
         if swap:
-            model = swap_replace_model(random_density(rng, d), random_observable(rng, d)).model
+            model = swap_replace_model(random_density(rng, d), random_observable(rng, d))
         else:
-            model = random_indirect_model(seed, d, d + extra).model
+            model = random_indirect_model(seed, d, d + extra)
         back = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
         for field in (lambda m: m.u, lambda m: m.sigma.matrix, lambda m: m.measured.matrix,
                       lambda m: m.probe.matrix):
@@ -123,25 +124,25 @@ class TestModelRoundTrip:
         assert capsys.readouterr() == ("", err)
 
     def test_rejects_wrong_version(self):
-        doc = model_to_dict(cnot_qubit_model().model)
+        doc = model_to_dict(cnot_qubit_model())
         doc["format_version"] = "2"
         with pytest.raises(ParseError):
             model_from_dict(doc)
 
     def test_rejects_non_unitary_u(self):
-        doc = model_to_dict(cnot_qubit_model().model)
+        doc = model_to_dict(cnot_qubit_model())
         doc["u"] = [[0.0, 0.0]] * 16
         with pytest.raises(ValidationError, match="unitary"):
             model_from_dict(doc)
 
     def test_rejects_bad_sigma(self):
-        doc = model_to_dict(cnot_qubit_model().model)
+        doc = model_to_dict(cnot_qubit_model())
         doc["sigma"] = [[2.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
         with pytest.raises(ValidationError, match="sigma"):
             model_from_dict(doc)
 
     def test_rejects_malformed_matrix(self):
-        doc = model_to_dict(cnot_qubit_model().model)
+        doc = model_to_dict(cnot_qubit_model())
         doc["sigma"] = [[1.0, 0.0], [0.0]]
         with pytest.raises(ParseError, match="sigma"):
             model_from_dict(doc)
@@ -154,7 +155,7 @@ class TestModelRoundTrip:
         ("object_dim", True),
     ])
     def test_rejects_booleans_and_non_finite_numbers(self, field, value):
-        doc = model_to_dict(cnot_qubit_model().model)
+        doc = model_to_dict(cnot_qubit_model())
         doc[field] = value
         with pytest.raises(ParseError, match=field):
             model_from_dict(json.loads(json.dumps(doc)))
@@ -206,6 +207,22 @@ class TestExitCodes:
         path = str(target) + suffix
         assert main(["export-zoo", path]) == 2
         assert capsys.readouterr().err == f"error: {reason}: {path}\n"
+
+    def test_file_name_too_long(self, tmp_path, capsys):
+        path = str(tmp_path / ("m" * 5000))
+        assert main(["verify", path]) == 2
+        assert capsys.readouterr() == ("", f"error: File name too long: {path}\n")
+
+    def test_symlink_loop(self, tmp_path, capsys):
+        path = str(tmp_path / "loop")
+        os.symlink(path, path)
+        assert main(["verify", path]) == 2
+        assert capsys.readouterr() == ("", f"error: Too many levels of symbolic links: {path}\n")
+
+    def test_export_zoo_name_too_long(self, tmp_path, capsys):
+        path = str(tmp_path / ("d" * 300))
+        assert main(["export-zoo", path]) == 2
+        assert capsys.readouterr() == ("", f"error: File name too long: {path}\n")
 
     def test_validation_error(self, tmp_path, cnot_path, capsys):
         doc = load_json(cnot_path)
@@ -281,9 +298,8 @@ class TestReduce:
         assert doc["matrix"][3] == [0.0, 0.0]
 
     def test_swap_prints_sigma_out(self, tmp_path, capsys):
-        entry = next(e for e in standard_entries() if e.name == "swap_replace")
         path = tmp_path / "swap.json"
-        save_json(str(path), model_to_dict(entry.model))
+        save_json(str(path), model_to_dict(standard_models()["swap_replace"]))
         assert main(["reduce", str(path), "--state", "0", "--outcome", "1"]) == 0
         doc = json.loads(capsys.readouterr().out)
         m = np.array([complex(re, im) for re, im in doc["matrix"]]).reshape(2, 2)
@@ -306,9 +322,8 @@ class TestReduce:
         assert capsys.readouterr() == ("", "validation error: state dim 3 != object dim 2\n")
 
     def test_named_state_needs_a_qubit(self, tmp_path, capsys):
-        entry = next(e for e in standard_entries() if e.name == "controlled_shift")
         path = tmp_path / "shift.json"
-        save_json(str(path), model_to_dict(entry.model))
+        save_json(str(path), model_to_dict(standard_models()["controlled_shift"]))
         assert main(["reduce", str(path), "--state", "+", "--outcome", "0"]) == 4
         assert capsys.readouterr() == (
             "", "validation error: named state '+' requires a qubit object, dim is 3\n")
@@ -401,14 +416,14 @@ class TestEntangled:
 
     @pytest.mark.parametrize("a_matrix, apparatus, err", [
         # the CNOT model measures Z, the scenario's A is X
-        (PAULI_X, cnot_qubit_model().model,
+        (PAULI_X, cnot_qubit_model(),
          "apparatus model does not target the scenario's observable"),
         # an idle interaction: the probe learns nothing of the object
         (PAULI_Z, MeasurementModel(pure(KET_0), identity(4), Observable(PAULI_Z),
                                    Observable(PAULI_Z)),
          "apparatus model fails the measuring condition (deviation 1.0)"),
         # a qutrit apparatus model on the Bell pair's qubit
-        (PAULI_Z, random_indirect_model(3, 3, 4).model, "shape mismatch (3, 3) vs (2, 2)"),
+        (PAULI_Z, random_indirect_model(3, 3, 4), "shape mismatch (3, 3) vs (2, 2)"),
     ], ids=["wrong-target", "fails-measuring-condition", "wrong-object-dim"])
     def test_refused_apparatus(self, tmp_path, capsys, a_matrix, apparatus, err):
         phi = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
@@ -507,7 +522,7 @@ class TestSweep:
 def cnot_doc_with_hamiltonian() -> dict:
     """The exported CNOT model plus a zero `object_hamiltonian`, which format-"1"
     files may carry and which is read and checked but not kept."""
-    doc = model_to_dict(cnot_qubit_model().model)
+    doc = model_to_dict(cnot_qubit_model())
     doc["object_hamiltonian"] = [[0.0, 0.0]] * 4
     return doc
 
@@ -566,7 +581,7 @@ class TestExportZoo:
         outdir = tmp_path / "zoo"
         assert main(["export-zoo", str(outdir)]) == 0
         paths = capsys.readouterr().out.split()
-        assert len(paths) == len(standard_entries())
+        assert len(paths) == len(standard_models())
         for path in paths:
             assert "object_hamiltonian" not in load_json(path)
             assert main(["verify", path]) == 0
@@ -576,8 +591,8 @@ class TestExportZoo:
         outdir = tmp_path / "zoo"
         main(["export-zoo", str(outdir)])
         capsys.readouterr()
-        for entry in standard_entries():
-            path = str(outdir / f"{entry.name}.json")
+        for name in standard_models():
+            path = str(outdir / f"{name}.json")
             assert main(["verify", path, "--json"]) == 0
             first = json.loads(capsys.readouterr().out)
             # re-export the reparsed model: reports must agree
@@ -641,7 +656,7 @@ class TestToleranceOverride:
                                             failed):
         # CNOT with U replaced by U exp(-i 1e-6 X (x) 1): measuring deviation 1e-6.
         # Its Born statistics are 1e-6 off, so `statistics` fails at TOL_PROB at any flag.
-        cnot = cnot_qubit_model().model
+        cnot = cnot_qubit_model()
         near = MeasurementModel(cnot.sigma, cnot.u @ herm_expm(tensor(PAULI_X, identity(2)), 1e-6),
                                 cnot.probe, cnot.measured)
         path = tmp_path / "near_cnot.json"

@@ -41,14 +41,14 @@ from reductionlab.zoo import (
     haar_unitary,
     random_indirect_model,
     random_observable,
-    standard_entries,
+    standard_models,
     swap_replace_model,
 )
 
 RNG = np.random.default_rng(2024)
 
-CNOT = cnot_qubit_model().model
-SWAP_PLUS = swap_replace_model(pure(KET_PLUS), Observable(PAULI_Z)).model
+CNOT = cnot_qubit_model()
+SWAP_PLUS = swap_replace_model(pure(KET_PLUS), Observable(PAULI_Z))
 
 
 def identity_model(sigma=None):
@@ -170,7 +170,7 @@ class TestStateReduction:
     @pytest.mark.parametrize("model_fn", [
         lambda: CNOT,
         lambda: SWAP_PLUS,
-        lambda: random_indirect_model(5, 3, 3).model,
+        lambda: random_indirect_model(5, 3, 3),
     ], ids=["cnot", "swap", "random"])
     def test_sandwiched_equivalence(self, model_fn):
         model = model_fn()
@@ -218,7 +218,7 @@ class TestOutcomeLabels:
         joint = JointDistribution({(0.0, 0.0): 0.2, (0.0, 1.0): 0.0, (1.5e-8, 0.0): 0.1,
                                    (1.5e-8, 1.0): 0.2, (1.0, 0.0): 0.25, (1.0, 1.0): 0.25})
         assert bayes_condition(joint, 9e-9).entries == bayes_condition(joint, 1.5e-8).entries
-        model = controlled_shift_model(obs).model
+        model = controlled_shift_model(obs)
         rho = pure(np.ones(3))
         assert operator_deviation(state_reduction(model, rho, 9e-9),
                                   pure(np.array([0.0, 1.0, 0.0]))) < 1e-12
@@ -227,7 +227,7 @@ class TestOutcomeLabels:
     def test_non_finite_label_names_no_outcome(self, a):
         obs = Observable(np.diag(AMBIGUOUS))
         dist = OutcomeDistribution({0.0: 0.2, 1.5e-8: 0.3, 1.0: 0.5})
-        model = controlled_shift_model(obs).model
+        model = controlled_shift_model(obs)
         for lookup in (lambda a: outcome_index(AMBIGUOUS, a), obs.projection, dist.probability,
                        lambda a: state_reduction(model, pure(np.ones(3)), a)):
             with pytest.raises(KeyError):
@@ -246,7 +246,7 @@ class TestOutcomeLabels:
         assert len(labels) == 1 + sum(g > 1 for g in gaps)
         assert [outcome_index(labels, a) for a in labels] == list(range(len(labels)))
         assert max_abs(sum(proj for _, proj in obs.spectrum) - identity(d)) <= TOL_OP
-        model = controlled_shift_model(obs).model
+        model = controlled_shift_model(obs)
         for _ in range(3):
             rho = random_density(rng, d)
             assert mixture_identity_check(model, rho, reductions(model, rho)) <= TOL_OP
@@ -264,7 +264,7 @@ class TestMixtureIdentity:
 
     def test_random_models_and_states(self):
         for i in range(50):
-            model = random_indirect_model(100 + i, 2 + i % 2, 3).model
+            model = random_indirect_model(100 + i, 2 + i % 2, 3)
             rho = random_density(RNG, model.object_dim)
             assert mixture_identity_check(model, rho, reductions(model, rho)) < 1e-9
 
@@ -276,9 +276,9 @@ class TestReductions:
     def test_weights_states_and_mixture(self, seed, d, extra, swap, spread):
         rng = np.random.default_rng(seed)
         if swap:
-            model = swap_replace_model(random_density(rng, d), random_observable(rng, d)).model
+            model = swap_replace_model(random_density(rng, d), random_observable(rng, d))
         else:
-            model = random_indirect_model(seed, d, d + extra).model
+            model = random_indirect_model(seed, d, d + extra)
         # weight `spread` outside the first eigenspace of A: at 0 the other outcomes are dropped
         full = random_density(rng, d).matrix
         proj = model.measured.spectrum[0][1]
@@ -315,14 +315,14 @@ class TestReductions:
             calls.clear()
 
         monkeypatch.setattr(measurement, "state_reduction", counted)
-        for entry in standard_entries():
-            checks.verify(entry.model, TOL_OP)
-            check_calls(entry.model.object_dim ** 2)
+        for model in standard_models().values():
+            checks.verify(model, TOL_OP)
+            check_calls(model.object_dim ** 2)
         checks._trial(3, 2, 3)
         check_calls(10 + 1)  # ten random states and the affinity check's mixture
 
 
-DEGENERATE_SHIFT = controlled_shift_model(Observable(np.diag([0.0, 0.0, 1.0]))).model
+DEGENERATE_SHIFT = controlled_shift_model(Observable(np.diag([0.0, 0.0, 1.0])))
 
 
 def degenerate_not_lueders():
@@ -349,9 +349,9 @@ def sampled_lueders(model) -> bool:
     return True
 
 
-CLASSIFIED_MODELS = [(e.name, lambda e=e: e.model) for e in standard_entries()] + [
-    ("random_indirect_3x4", lambda: random_indirect_model(3, 3, 4).model),
-    ("random_indirect_4x5", lambda: random_indirect_model(5, 4, 5).model),
+CLASSIFIED_MODELS = [(name, lambda m=m: m) for name, m in standard_models().items()] + [
+    ("random_indirect_3x4", lambda: random_indirect_model(3, 3, 4)),
+    ("random_indirect_4x5", lambda: random_indirect_model(5, 4, 5)),
     ("degenerate_not_lueders", degenerate_not_lueders),
 ]
 
@@ -411,7 +411,7 @@ class TestSpanningSetConsistency:
 
 
 def _pure_pointer_with_rounding_spectrum():
-    model = random_indirect_model(7, 4, 5).model
+    model = random_indirect_model(7, 4, 5)
     # sigma = W|0><0|W^dag: its null eigenvalues come out at rounding level, of either sign
     assert 0 < np.max(np.abs(np.linalg.eigvalsh(model.sigma.matrix)[:-1])) < 1e-15
     return model
@@ -419,20 +419,20 @@ def _pure_pointer_with_rounding_spectrum():
 
 def _swap_full_rank():
     rng = np.random.default_rng(11)
-    return swap_replace_model(random_density(rng, 3), random_observable(rng, 3, 2)).model
+    return swap_replace_model(random_density(rng, 3), random_observable(rng, 3, 2))
 
 
 def _degenerate_probe_eigenspace():
     """Two outcomes on a five-level pointer in a random basis: E^B(0) has rank four."""
     a_obs = Observable(np.diag([0.0, 0.0, 1.0]).astype(complex))
-    model = random_indirect_model(8, 3, 5, a_obs=a_obs).model
+    model = random_indirect_model(8, 3, 5, a_obs=a_obs)
     assert np.linalg.matrix_rank(model.probe_projection(0.0)) == 4
     return model
 
 
-KRAUS_MODELS = [(e.name, lambda e=e: e.model) for e in standard_entries()] + [
-    ("random_indirect_3x4", lambda: random_indirect_model(3, 3, 4).model),
-    ("random_indirect_5x6", lambda: random_indirect_model(4, 5, 6).model),
+KRAUS_MODELS = [(name, lambda m=m: m) for name, m in standard_models().items()] + [
+    ("random_indirect_3x4", lambda: random_indirect_model(3, 3, 4)),
+    ("random_indirect_5x6", lambda: random_indirect_model(4, 5, 6)),
     ("swap_full_rank_sigma", _swap_full_rank),
     ("pure_pointer_rounding_spectrum", _pure_pointer_with_rounding_spectrum),
     ("degenerate_probe_eigenspace", _degenerate_probe_eigenspace),
@@ -486,7 +486,7 @@ class TestSandwichedOracle:
                         state_reduction_sandwiched(model, rho, a)
 
     def test_never_forms_the_composite_state(self, monkeypatch):
-        models = [random_indirect_model(3, 3, 4).model, _swap_full_rank(),
+        models = [random_indirect_model(3, 3, 4), _swap_full_rank(),
                   _degenerate_probe_eigenspace()]
         cases = [(model, rho, literal_sandwich(model, rho))
                  for model in models for rho in _oracle_states(model)]
@@ -548,9 +548,9 @@ class TestContractionOrder:
     def test_matches_composite_formula(self, seed, d, extra, swap, data):
         rng = np.random.default_rng(seed)
         if swap:
-            base = swap_replace_model(random_density(rng, d), random_observable(rng, d)).model
+            base = swap_replace_model(random_density(rng, d), random_observable(rng, d))
         else:
-            base = random_indirect_model(seed, d, d + extra).model
+            base = random_indirect_model(seed, d, d + extra)
         da = base.apparatus_dim
         # sigma replaced by a state of random rank: the model may no longer measure A,
         # but its instrument is still defined
@@ -571,7 +571,7 @@ class TestContractionOrder:
 
 
 def test_instrument_never_forms_the_composite_state(monkeypatch):
-    models = [random_indirect_model(3, 3, 4).model, _swap_full_rank()]
+    models = [random_indirect_model(3, 3, 4), _swap_full_rank()]
     forbid_composite(monkeypatch)
     for model in models:
         rho = random_density(RNG, model.object_dim)

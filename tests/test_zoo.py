@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from reductionlab import checks
+from reductionlab.cli import main
 from reductionlab.errors import DimensionMismatchError
 from reductionlab.linalg import TOL_OP, TOL_PROB, max_abs
 from reductionlab.measurement import (
@@ -28,7 +30,7 @@ from reductionlab.zoo import (
     cnot_qubit_model,
     controlled_shift_model,
     random_indirect_model,
-    standard_entries,
+    standard_models,
     swap_replace_model,
 )
 
@@ -37,47 +39,44 @@ RNG = np.random.default_rng(606)
 
 class TestCnot:
     def test_verifies(self):
-        assert verify_measures(cnot_qubit_model().model) <= TOL_OP
+        assert verify_measures(cnot_qubit_model()) <= TOL_OP
 
     def test_reduction(self):
-        model = cnot_qubit_model().model
+        model = cnot_qubit_model()
         out = state_reduction(model, pure(KET_PLUS), 1.0)
         assert operator_deviation(out, pure(KET_0)) < 1e-12
 
     def test_nonselective(self):
-        model = cnot_qubit_model().model
+        model = cnot_qubit_model()
         out = nonselective_state(model, pure(KET_PLUS))
         assert max_abs(out.matrix - np.eye(2) / 2) < 1e-12
 
-    def test_expected_projective(self):
-        entry = cnot_qubit_model()
-        assert entry.expected_projective
-        assert satisfies_projection_postulate(entry.model)
+    def test_projective(self):
+        assert satisfies_projection_postulate(cnot_qubit_model())
 
 
 class TestSwapReplace:
     def test_verifies_and_statistics(self):
-        entry = swap_replace_model(pure(KET_PLUS), Observable(PAULI_Z))
-        assert verify_measures(entry.model) <= TOL_OP
+        model = swap_replace_model(pure(KET_PLUS), Observable(PAULI_Z))
+        assert verify_measures(model) <= TOL_OP
         for _ in range(10):
             rho = random_density(RNG, 2)
-            dev = outcome_probability(entry.model, rho).max_deviation(
-                born_distribution(entry.model.measured, rho))
+            dev = outcome_probability(model, rho).max_deviation(
+                born_distribution(model.measured, rho))
             assert dev < TOL_PROB
 
     def test_reduction_is_sigma_out(self):
-        entry = swap_replace_model(pure(KET_PLUS), Observable(PAULI_Z))
+        model = swap_replace_model(pure(KET_PLUS), Observable(PAULI_Z))
         rho = random_density(RNG, 2)
-        dist = outcome_probability(entry.model, rho)
-        for a in entry.model.outcomes():
+        dist = outcome_probability(model, rho)
+        for a in model.outcomes():
             if dist.probability(a) > TOL_PROB:
-                out = state_reduction(entry.model, rho, a)
+                out = state_reduction(model, rho, a)
                 assert operator_deviation(out, pure(KET_PLUS)) < 1e-10
 
     def test_classification(self):
-        entry = swap_replace_model(pure(KET_PLUS), Observable(PAULI_Z))
-        assert not entry.expected_projective
-        assert not satisfies_projection_postulate(entry.model)
+        model = swap_replace_model(pure(KET_PLUS), Observable(PAULI_Z))
+        assert not satisfies_projection_postulate(model)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -86,29 +85,29 @@ class TestSwapReplace:
 
 class TestControlledShift:
     def test_single_outcome_trivial(self):
-        entry = controlled_shift_model(Observable(2.0 * np.eye(2)))
-        assert verify_measures(entry.model) <= TOL_OP
-        d = outcome_probability(entry.model, random_density(RNG, 2))
+        model = controlled_shift_model(Observable(2.0 * np.eye(2)))
+        assert verify_measures(model) <= TOL_OP
+        d = outcome_probability(model, random_density(RNG, 2))
         assert d.probability(2.0) == pytest.approx(1.0)
 
     def test_qutrit(self):
-        entry = controlled_shift_model(Observable(np.diag([0.0, 1.0, 2.0])))
-        assert verify_measures(entry.model) <= TOL_OP
+        model = controlled_shift_model(Observable(np.diag([0.0, 1.0, 2.0])))
+        assert verify_measures(model) <= TOL_OP
         rho = pure(ket(1, 1, 1))
-        out = state_reduction(entry.model, rho, 1.0)
+        out = state_reduction(model, rho, 1.0)
         assert operator_deviation(out, pure(ket(0, 1, 0))) < 1e-12
 
     def test_degenerate_preserves_coherence(self):
-        entry = controlled_shift_model(Observable(np.diag([0.0, 0.0, 1.0])))
+        model = controlled_shift_model(Observable(np.diag([0.0, 0.0, 1.0])))
         rho = pure(ket(1, 1, 1))
-        out = state_reduction(entry.model, rho, 0.0)
+        out = state_reduction(model, rho, 0.0)
         # Lueders: the 2x2 block is the input's, renormalized
         expected = np.array([[0.5, 0.5, 0], [0.5, 0.5, 0], [0, 0, 0]], dtype=complex)
         assert max_abs(out.matrix - expected) < 1e-10
 
     def test_oversized_apparatus(self):
-        entry = controlled_shift_model(Observable(PAULI_Z), apparatus_dim=5)
-        assert verify_measures(entry.model) <= TOL_OP
+        model = controlled_shift_model(Observable(PAULI_Z), apparatus_dim=5)
+        assert verify_measures(model) <= TOL_OP
 
     def test_undersized_apparatus_rejected(self):
         with pytest.raises(DimensionMismatchError):
@@ -118,22 +117,22 @@ class TestControlledShift:
 class TestRandomIndirect:
     def test_always_verifies(self):
         for seed in range(10):
-            entry = random_indirect_model(seed, 2 + seed % 3, 4)
-            assert verify_measures(entry.model) <= TOL_OP
+            model = random_indirect_model(seed, 2 + seed % 3, 4)
+            assert verify_measures(model) <= TOL_OP
 
     def test_mixture_identity(self):
         for seed in range(5):
-            entry = random_indirect_model(50 + seed, 3, 3)
+            model = random_indirect_model(50 + seed, 3, 3)
             rho = random_density(RNG, 3)
-            reduced = reductions(entry.model, rho)
-            assert mixture_identity_check(entry.model, rho, reduced) < 1e-9
+            reduced = reductions(model, rho)
+            assert mixture_identity_check(model, rho, reduced) < 1e-9
 
     def test_seed_determinism(self):
         a = random_indirect_model(1234, 3, 4)
         b = random_indirect_model(1234, 3, 4)
-        assert np.array_equal(a.model.u, b.model.u)
-        assert np.array_equal(a.model.sigma.matrix, b.model.sigma.matrix)
-        assert np.array_equal(a.model.probe.matrix, b.model.probe.matrix)
+        assert np.array_equal(a.u, b.u)
+        assert np.array_equal(a.sigma.matrix, b.sigma.matrix)
+        assert np.array_equal(a.probe.matrix, b.probe.matrix)
 
     def test_apparatus_too_small(self):
         obs = Observable(np.diag([0.0, 1.0, 2.0]))
@@ -141,16 +140,27 @@ class TestRandomIndirect:
             random_indirect_model(0, 3, 2, a_obs=obs)
 
 
-class TestStandardEntries:
+# the classification `verify` gives each standard model
+CLASSIFICATION = {
+    "cnot": "projective",
+    "swap_replace": "non-projective",
+    "controlled_shift": "projective",
+    "controlled_shift_degenerate": "projective",
+    "random_indirect_42": "projective",
+}
+
+
+class TestStandardModels:
     def test_all_verify(self):
-        for entry in standard_entries():
-            assert verify_measures(entry.model) <= TOL_OP, entry.name
+        for name, model in standard_models().items():
+            assert verify_measures(model) <= TOL_OP, name
 
-    def test_classification_matches_expectation(self):
-        for entry in standard_entries():
-            got = satisfies_projection_postulate(entry.model)
-            assert got == entry.expected_projective, entry.name
+    @pytest.mark.parametrize("name", CLASSIFICATION)
+    def test_classification(self, name):
+        assert checks.verify(standard_models()[name], TOL_OP)[1] == CLASSIFICATION[name]
 
-    def test_unique_names(self):
-        names = [e.name for e in standard_entries()]
-        assert len(names) == len(set(names))
+    def test_names_are_the_exported_files(self, tmp_path, capsys):
+        assert list(standard_models()) == list(CLASSIFICATION)
+        assert main(["export-zoo", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.split() == [
+            str(tmp_path / f"{name}.json") for name in CLASSIFICATION]

@@ -84,9 +84,9 @@ def write(path, rng, model, t, tau):
         fh.write("\n")
 
 
-write(sys.argv[1], np.random.default_rng(11), random_indirect_model(3, 3, 4).model, 0.7, 1.3)
+write(sys.argv[1], np.random.default_rng(11), random_indirect_model(3, 3, 4), 0.7, 1.3)
 rng = np.random.default_rng(12)
-write(sys.argv[2], rng, swap_replace_model(random_density(rng, 3), random_observable(rng, 3)).model,
+write(sys.argv[2], rng, swap_replace_model(random_density(rng, 3), random_observable(rng, 3)),
       0.9, 0.6)
 EOF
 
@@ -111,7 +111,7 @@ x_obs = random_observable(rng, 2)
 g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
 s = EntangledScenario(rho12, Observable(PAULI_Z), x_obs, h2=(g + g.conj().T) / 2, t=0.4, tau=0.9)
 with open(sys.argv[1], "w", encoding="utf-8") as fh:
-    json.dump(scenario_to_dict(s, apparatus=cnot_qubit_model().model), fh, indent=1)
+    json.dump(scenario_to_dict(s, apparatus=cnot_qubit_model()), fh, indent=1)
     fh.write("\n")
 EOF
 
