@@ -69,14 +69,10 @@ class EntangledScenario:
                 raise ValidationError(f"{field}: hamiltonian has a non-finite eigenvalue: {w}")
         if not (0.0 <= t < math.inf and 0.0 <= tau < math.inf):  # also rejects NaN
             raise ValidationError("times must be finite and nonnegative")
-        # every phase w * time that an evolution below forms; the oracle's pair
-        # evolution has max|eigenvalue of h12| <= w1 + w2 and runs for t and for tau
+        # every phase w * time that `evolution` forms: h1 up to t, h2 up to t + tau
         w1, w2 = (float(np.max(np.abs(w))) for w, _ in self._spectra)
-        for field, w_max, time, value in (("h1", w1, "t", t), ("h2", w2, "t + tau", t + tau),
-                                          ("h1 + h2", w1 + w2, "max(t, tau)", max(t, tau))):
-            if not math.isfinite(w_max * value):
-                raise ValidationError(
-                    f"{field}: phase max|eigenvalue| * {time} = {w_max} * {value} is not finite")
+        _check_phase("h1", w1, "t", t)
+        _check_phase("h2", w2, "t + tau", t + tau)
         self.rho12 = rho12
         self.a_obs = a_obs
         self.x_obs = x_obs
@@ -93,6 +89,13 @@ class EntangledScenario:
         """e^{-i h_k time} on subsystem k (0 or 1), as `herm_expm` builds it."""
         w, v = self._spectra[k]
         return (v * np.exp(-1j * w * time)) @ dagger(v)
+
+
+def _check_phase(field: str, w_max: float, time: str, value: float):
+    """Refuse a phase that overflows, judged in Python floats so that numpy warns of nothing."""
+    if not math.isfinite(w_max * value):
+        raise ValidationError(
+            f"{field}: phase max|eigenvalue| * {time} = {w_max} * {value} is not finite")
 
 
 class JointDistribution(Distribution):
@@ -126,11 +129,12 @@ def joint_distribution_formula(s: EntangledScenario) -> JointDistribution:
 def joint_distribution_oracle(s: EntangledScenario, model: MeasurementModel) -> JointDistribution:
     """Brute-force joint distribution via the full three-factor dynamics.
 
-    `model` is the local apparatus for the first subsystem.  It is refused
-    (ValidationError) when its measured observable is not the scenario's A,
-    and then when it fails the measuring condition, both at TOL_OP.  Its
-    interaction acts on H1 (x) HA only, so its extension to the full space
-    commutes with every observable of subsystem 2.
+    `model` is the local apparatus for the first subsystem, refused
+    (ValidationError) unless it measures the scenario's A with as many
+    outcomes and meets the measuring condition, both at TOL_OP, or when
+    the pair phase overflows.  A's labels are the scenario's, the i-th read
+    on the i-th eigenspace of B.  Its interaction acts on H1 (x) HA only, so
+    its extension to the full space commutes with every observable of subsystem 2.
 
     Evolves the pair freely to time t, prepares the apparatus in sigma,
     applies the interaction unitary extended as U (x) 1, evolves freely by
@@ -154,11 +158,15 @@ def joint_distribution_oracle(s: EntangledScenario, model: MeasurementModel) -> 
     rho12 is used as given, so the result is linear in it; no operator on
     H1 (x) HA (x) H2 is ever formed.
     """
-    if operator_deviation(model.measured.matrix, s.a_obs.matrix) > TOL_OP:
+    if (operator_deviation(model.measured.matrix, s.a_obs.matrix) > TOL_OP
+            or len(model.outcomes()) != len(s.a_obs.eigenvalues)):
         raise ValidationError("apparatus model does not target the scenario's observable")
     dev = verify_measures(model)
     if not dev <= TOL_OP:  # also refuses a NaN deviation
         raise ValidationError(f"apparatus model fails the measuring condition (deviation {dev})")
+    # the pair evolution has max|eigenvalue of h12| <= max|w(h1)| + max|w(h2)|, for t and tau
+    w12 = sum(float(np.max(np.abs(w))) for w, _ in s._spectra)
+    _check_phase("h1 + h2", w12, "max(t, tau)", max(s.t, s.tau))
     d1, d2 = s.dims
     da = model.apparatus_dim
     n12, n2a = d1 * d2, d2 * da
@@ -179,9 +187,9 @@ def joint_distribution_oracle(s: EntangledScenario, model: MeasurementModel) -> 
     block = (vl.reshape(-1, n12) @ rho).reshape(n2a, -1) @ vl.conj().T
     block = block.reshape(d2, da, d2, da)
     entries = {}
-    for a in model.outcomes():
+    for a, (_, eb) in zip(s.a_obs.eigenvalues, model.probe.spectrum):
         # Tr_A[(1 (x) E^B(a)) block], an operator on S2
-        selected = np.einsum("ij,xjyi->xy", model.probe_projection(a), block)
+        selected = np.einsum("ij,xjyi->xy", eb, block)
         for x, ex in s.x_obs.spectrum:
             entries[(a, x)] = float(np.einsum("ij,ji->", ex, selected).real)
     return JointDistribution(entries)

@@ -120,10 +120,11 @@ def herm_expm(h, tau: float) -> np.ndarray:
 
 
 def spectral_decompose(a) -> list[tuple[float, np.ndarray]]:
-    """Eigenvalues (clustered with absolute gap TOL_EIG, ascending) and spectral projections.
+    """Eigenvalues (clustered with absolute gap TOL_EIG, ascending) and eigenspace bases.
 
-    Each cluster is represented by the mean of its members; the projection
-    is onto the span of the cluster's eigenvectors.
+    Each cluster is represented by the mean of its members and by its
+    eigenvectors, as the orthonormal columns of a block b; the spectral
+    projection is b @ dagger(b).
     """
     m = as_matrix(a)
     if not is_hermitian(m):
@@ -133,7 +134,6 @@ def spectral_decompose(a) -> list[tuple[float, np.ndarray]]:
     start = 0
     for i in range(1, len(w) + 1):
         if i == len(w) or w[i] - w[i - 1] > TOL_EIG:
-            block = v[:, start:i]
-            out.append((float(np.mean(w[start:i])), block @ dagger(block)))
+            out.append((float(np.mean(w[start:i])), v[:, start:i]))
             start = i
     return out

@@ -8,8 +8,8 @@ A exactly when its effects reproduce A's spectral projections.
 Every quantity is evaluated through the model's instrument, the operation
 I_a(rho) = Tr_A[(1 (x) E^B(a)) U (rho (x) sigma) U^dag], in its Kraus form
 sum_{k,l} M_akl rho M_akl^dag with M_akl = sqrt(s_l) <b_k| U |phi_l>, where
-sigma = sum_l s_l |phi_l><phi_l| and {b_k} is an orthonormal basis of
-E^B(a).  Nothing on that path forms a composite-space operator.
+sigma = sum_l s_l |phi_l><phi_l| and {b_k} is B's own orthonormal basis of
+E^B(a), `probe.bases`.  Nothing on that path forms a composite-space operator.
 
 A Kraus stack is laid out as V[i, n, j] = M_n[i, j] with n = (k, l), shape
 (d, N, d), so that each use is a flat matrix product: I_a(rho) is
@@ -126,19 +126,10 @@ class MeasurementModel:
         return phi[:, keep] * np.sqrt(s[keep])
 
     @cached_property
-    def _probe_bases(self) -> list[np.ndarray]:
-        """An orthonormal basis of E^B(a), as columns, for each outcome a in sorted order."""
-        bases = []
-        for _, proj in self.probe.spectrum:
-            w, v = np.linalg.eigh(proj)
-            bases.append(v[:, w > 0.5])
-        return bases
-
-    @cached_property
     def _effects(self) -> list[tuple[float, np.ndarray]]:
         """(a, sum_{k,l} M_akl^dag M_akl) for each outcome a, read-only."""
         out = []
-        for a, basis in zip(self.outcomes(), self._probe_bases):
+        for a, basis in zip(self.outcomes(), self.probe.bases):
             w = self._kraus(basis).reshape(-1, self.object_dim)
             eff = w.conj().T @ w
             eff.setflags(write=False)
@@ -211,7 +202,7 @@ def nonselective_state(model: MeasurementModel, rho: DensityOperator) -> Density
 def state_reduction(model: MeasurementModel, rho: DensityOperator, a: float) -> DensityOperator:
     """rho_a = I_a(rho) / P(a) = sum_{k,l} M_akl rho M_akl^dag / P(a)."""
     model._check_state(rho)
-    basis = model._probe_bases[outcome_index(model.outcomes(), a)]
+    basis = model.probe.bases[outcome_index(model.outcomes(), a)]
     num = _apply(model._kraus(basis), rho.matrix)
     p = float(np.trace(num).real)
     if p <= TOL_PROB:
@@ -265,7 +256,7 @@ def satisfies_projection_postulate(model: MeasurementModel, tol: float = TOL_OP)
     """
     if not verify_measures(model) <= tol:  # also refuses a NaN deviation
         raise ValidationError("model does not measure its claimed observable")
-    for a, basis in zip(model.outcomes(), model._probe_bases):
+    for a, basis in zip(model.outcomes(), model.probe.bases):
         vecs = model._kraus(basis).transpose(1, 0, 2).reshape(-1, model.object_dim ** 2)
         lueders = model.measured.projection(a).reshape(-1)
         if not max_abs(vecs.T @ vecs.conj() - np.outer(lueders, lueders.conj())) <= tol:

@@ -39,14 +39,17 @@ def outcome_index(labels, a: float) -> int:
 
 
 class Observable:
-    """Hermitian operator carrying its spectral decomposition eagerly."""
+    """Hermitian operator carrying its spectral decomposition eagerly: `bases[i]` holds
+    orthonormal columns spanning the eigenspace of `spectrum[i]`, its projection b b^dag."""
 
     def __init__(self, matrix):
         m = as_matrix(matrix)
         if not is_hermitian(m):
             raise ValidationError("observable matrix must be Hermitian")
         self.matrix = m
-        self.spectrum = spectral_decompose(m)
+        decomposition = spectral_decompose(m)
+        self.bases = [b for _, b in decomposition]
+        self.spectrum = [(a, b @ dagger(b)) for a, b in decomposition]
         if not all(np.isfinite(a) for a in self.eigenvalues):  # eigh overflows near the float limit
             raise ValidationError(f"observable has a non-finite eigenvalue: {self.eigenvalues}")
 
@@ -105,7 +108,8 @@ class Distribution:
     def max_deviation(self, other: "Distribution") -> float:
         keys = sorted(self.entries)
         if keys != sorted(other.entries):
-            raise DimensionMismatchError("distributions have different outcome sets")
+            raise DimensionMismatchError(
+                f"distributions have different outcome sets: {keys} vs {sorted(other.entries)}")
         return max(abs(self.entries[k] - other.entries[k]) for k in keys)
 
 

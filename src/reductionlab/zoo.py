@@ -141,12 +141,7 @@ def random_indirect_model(seed: int, object_dim: int, apparatus_dim: int,
         a_obs = random_observable(rng, object_dim)
     elif a_obs.dim != object_dim:
         raise DimensionMismatchError(f"a_obs dim {a_obs.dim} != object dim {object_dim}")
-    n = len(a_obs.spectrum)
-    if apparatus_dim < n:
-        raise DimensionMismatchError(
-            f"apparatus dim {apparatus_dim} smaller than outcome count {n}"
-        )
-    base = controlled_shift_model(a_obs, apparatus_dim)
+    base = controlled_shift_model(a_obs, apparatus_dim)  # refuses too few apparatus levels
     w = haar_unitary(rng, apparatus_dim)
     one_w = tensor(identity(object_dim), w)
     return MeasurementModel(

@@ -174,6 +174,39 @@ class TestOracle:
         with pytest.raises(ValidationError, match=message):
             joint_distribution_oracle(s, model)
 
+    def test_keys_are_the_scenarios_labels(self):
+        # the apparatus's copy of A is 1e-12 off the scenario's: the same observable at
+        # TOL_OP, with a different label for the outcome 1
+        cnot = cnot_qubit_model()
+        model = MeasurementModel(cnot.sigma, cnot.u, cnot.probe,
+                                 Observable(PAULI_Z + np.diag([1e-12, 0.0])))
+        assert model.outcomes() != [-1.0, 1.0]
+        s = EntangledScenario(bell_state(), Observable(PAULI_Z), Observable(PAULI_Z))
+        formula, oracle = joint_distribution_formula(s), joint_distribution_oracle(s, model)
+        assert list(oracle.entries) == list(formula.entries)
+        assert formula.max_deviation(oracle) <= TOL_OP
+
+    @pytest.mark.parametrize("scenario_gap, apparatus_gap", [(1.01e-8, 0.99e-8),
+                                                             (0.99e-8, 1.01e-8)],
+                             ids=["3-vs-2", "2-vs-3"])
+    def test_rejects_a_different_outcome_count(self, scenario_gap, apparatus_gap):
+        # diag(0, g, 1) has three outcomes when g > TOL_EIG and two otherwise; the two
+        # copies of A differ by only 2e-10
+        model = controlled_shift_model(Observable(np.diag([0.0, apparatus_gap, 1.0])))
+        s = EntangledScenario(random_density(RNG, 6), Observable(np.diag([0.0, scenario_gap, 1.0])),
+                              Observable(PAULI_Z))
+        assert operator_deviation(model.measured.matrix, s.a_obs.matrix) <= TOL_OP
+        with pytest.raises(ValidationError, match="does not target"):
+            joint_distribution_oracle(s, model)
+
+    def test_pair_phase_is_judged_by_the_oracle(self):
+        # h1 is evolved for tau only by the oracle's pair evolution
+        s = EntangledScenario(bell_state(), Observable(PAULI_Z), Observable(PAULI_Z),
+                              h1=np.diag([1e300, 0.0]), tau=1e10)
+        joint_distribution_formula(s)
+        with pytest.raises(ValidationError, match=r"h1 \+ h2: phase max\|eigenvalue\| \* max"):
+            joint_distribution_oracle(s, cnot_qubit_model())
+
     def test_random_scenarios_all_apparatus_families(self):
         rng = np.random.default_rng(777)
         for i in range(10):

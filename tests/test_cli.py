@@ -282,6 +282,20 @@ class TestExitCodes:
         assert named in captured.err
         assert "is not finite" in captured.err
 
+    def test_pair_phase_without_apparatus(self, bell_scenario_path, capsys):
+        # the h1 + h2 bound belongs to the oracle's pair evolution: no apparatus, no oracle
+        doc = load_json(bell_scenario_path)
+        del doc["apparatus"]
+        doc.update({"h1": [[1e300, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+                    "t": 0.0, "tau": 1e10})
+        save_json(bell_scenario_path, doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["entangled", bell_scenario_path, "--json"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["ok"] is True
+
     def test_zero_probability(self, cnot_path, capsys):
         assert main(["reduce", cnot_path, "--state", "0", "--outcome", "-1"]) == 5
 

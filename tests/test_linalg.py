@@ -4,6 +4,7 @@ import pytest
 from reductionlab.errors import DimensionMismatchError, ValidationError
 from reductionlab.linalg import (
     TOL_OP,
+    dagger,
     herm_expm,
     identity,
     is_hermitian,
@@ -126,19 +127,29 @@ class TestHermExpm:
 
 
 class TestSpectralDecompose:
+    """Each cluster comes as (value, b): b has orthonormal columns, and b b^dag is
+    the cluster's spectral projection."""
+
+    @staticmethod
+    def projections(h):
+        spec = spectral_decompose(h)
+        for _, b in spec:
+            assert max_abs(dagger(b) @ b - identity(b.shape[1])) < 1e-12
+        return [(a, b @ dagger(b)) for a, b in spec]
+
     def test_diagonal(self):
-        spec = spectral_decompose(np.diag([1.0, -1.0]))
+        spec = self.projections(np.diag([1.0, -1.0]))
         assert [a for a, _ in spec] == [-1.0, 1.0]
         assert max_abs(spec[1][1] - np.diag([1.0, 0.0])) < 1e-12
 
     def test_fully_degenerate(self):
-        spec = spectral_decompose(identity(3))
+        spec = self.projections(identity(3))
         assert len(spec) == 1
         assert spec[0][0] == pytest.approx(1.0)
         assert max_abs(spec[0][1] - identity(3)) < 1e-12
 
     def test_pauli_x(self):
-        spec = spectral_decompose(np.array([[0, 1], [1, 0]], dtype=complex))
+        spec = self.projections(np.array([[0, 1], [1, 0]], dtype=complex))
         plus = np.full((2, 2), 0.5, dtype=complex)
         minus = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
         assert spec[0][0] == pytest.approx(-1.0)
@@ -147,7 +158,7 @@ class TestSpectralDecompose:
 
     def test_resolution_properties(self):
         h = random_hermitian(6)
-        spec = spectral_decompose(h)
+        spec = self.projections(h)
         total = sum(p for _, p in spec)
         assert max_abs(total - identity(6)) < TOL_OP
         recon = sum(a * p for a, p in spec)
@@ -160,5 +171,6 @@ class TestSpectralDecompose:
 
     def test_clustering_merges_near_degenerate(self):
         spec = spectral_decompose(np.diag([0.0, 1e-9, 1.0]))
-        assert len(spec) == 2
+        assert [b.shape for _, b in spec] == [(3, 2), (3, 1)]
         assert spec[0][0] == pytest.approx(5e-10)
+        assert max_abs(spec[0][1] @ dagger(spec[0][1]) - np.diag([1.0, 1.0, 0.0])) < 1e-12

@@ -536,7 +536,7 @@ class TestContractionOrder:
     def test_kraus_models_cover_both_orders(self):
         def ranks(model):
             """(rank E^B(a), rank sigma) for each outcome a."""
-            return [(basis.shape[1], model.pointer.shape[1]) for basis in model._probe_bases]
+            return [(basis.shape[1], model.pointer.shape[1]) for basis in model.probe.bases]
 
         models = dict(KRAUS_MODELS)
         assert any(k < r for k, r in ranks(models["swap_full_rank_sigma"]()))
@@ -564,7 +564,7 @@ class TestContractionOrder:
         comp = model.u @ tensor(rho, sigma.matrix) @ dagger(model.u)
         ref = partial_trace(comp, (d, da), [0])
         assert max_abs(measurement._apply(model._kraus(), rho) - ref) <= 1e-12
-        for a, basis in zip(model.outcomes(), model._probe_bases):
+        for a, basis in zip(model.outcomes(), model.probe.bases):
             eb = tensor(identity(d), model.probe_projection(a))
             ref = partial_trace(eb @ comp @ eb, (d, da), [0])
             assert max_abs(measurement._apply(model._kraus(basis), rho) - ref) <= 1e-12
@@ -581,3 +581,19 @@ def test_instrument_never_forms_the_composite_state(monkeypatch):
             if dist.probability(a) > TOL_PROB:
                 state_reduction(model, rho, a)
         nonselective_state(model, rho)
+
+
+def test_effects_diagonalize_sigma_only(monkeypatch):
+    # the probe bases are B's own eigenvectors, so no probe eigenspace is diagonalized again
+    models = list(standard_models().values())
+    eigh, shapes = np.linalg.eigh, []
+
+    def counted(m, *args, **kwargs):
+        shapes.append(m.shape)
+        return eigh(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    for model in models:
+        effects(model)
+        assert shapes == [model.sigma.matrix.shape]
+        shapes.clear()

@@ -5,7 +5,7 @@ from reductionlab.errors import (
     DimensionMismatchError,
     ValidationError,
 )
-from reductionlab.linalg import TOL_OP, identity, max_abs, partial_trace, tensor
+from reductionlab.linalg import TOL_OP, dagger, identity, max_abs, partial_trace, tensor
 from reductionlab.quantum import (
     DensityOperator,
     Observable,
@@ -34,6 +34,13 @@ class TestTypes:
         vals = obs.eigenvalues
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
+    def test_observable_projections_are_built_from_its_bases(self):
+        _, v = np.linalg.eigh(random_hermitian(4))
+        obs = Observable(v @ np.diag([0.0, 0.0, 1.0, 2.0]) @ v.conj().T)
+        assert [b.shape[1] for b in obs.bases] == [2, 1, 1]
+        for b, (_, proj) in zip(obs.bases, obs.spectrum):
+            assert np.array_equal(proj, b @ dagger(b))
+
     def test_observable_rejects_non_hermitian(self):
         with pytest.raises(ValidationError):
             Observable(np.array([[0, 1], [0, 0]]))
@@ -49,6 +56,13 @@ class TestTypes:
     def test_distribution_rejects_unnormalized(self):
         with pytest.raises(ValidationError):
             OutcomeDistribution({0.0: 0.3, 1.0: 0.3})
+
+    def test_distribution_mismatch_names_both_outcome_sets(self):
+        p = OutcomeDistribution({-1.0: 0.5, 1.0: 0.5})
+        q = OutcomeDistribution({-1.0: 0.5, 1.000000000001: 0.5})
+        with pytest.raises(DimensionMismatchError,
+                           match=r"\[-1\.0, 1\.0\] vs \[-1\.0, 1\.000000000001\]"):
+            p.max_deviation(q)
 
     @pytest.mark.parametrize("entries", [
         {0.0: np.nan, 1.0: np.nan},

@@ -6,7 +6,9 @@
 #
 # OUTDIR/inputs holds the exported zoo, the CNOT model with an object
 # Hamiltonian, the Bell/CNOT scenario, the Bell scenario without an
-# apparatus, two scenarios with free evolution (one with a full-rank
+# apparatus, a variant of each (an apparatus whose A is 1e-12 off the
+# scenario's; a pair phase that overflows with no apparatus to form
+# it), two scenarios with free evolution (one with a full-rank
 # apparatus state sigma), a scenario in which one outcome of A has probability
 # 0, and OUTDIR/NAME.out, NAME.err
 # and NAME.code each command's results.  Two checkouts give the same answers
@@ -35,8 +37,12 @@ with open(sys.argv[2], "w", encoding="utf-8") as fh:
 EOF
 
 # Bell state, Z on both sides, no free evolution, the CNOT model as apparatus;
-# bell_bare.json is the same scenario without the `apparatus` key
-python3 - "$zoo/cnot.json" "$out/inputs/bell.json" "$out/inputs/bell_bare.json" <<'EOF'
+# bell_bare.json is the same scenario without the `apparatus` key.
+# bell_eps.json is bell.json with the apparatus's copy of A 1e-12 off the
+# scenario's, so that the oracle's joint must carry the scenario's labels;
+# bare_phase.json is bell_bare.json with h1 = diag(1e300, 0) and tau = 1e10, a
+# pair phase that overflows but that no computation forms without an apparatus
+python3 - "$zoo/cnot.json" "$out/inputs" <<'EOF'
 import json
 import sys
 
@@ -49,8 +55,11 @@ doc = {"format_version": "1", "dim1": 2, "dim2": 2,
        "rho12": [half, zero, zero, half] + [zero] * 8 + [half, zero, zero, half],
        "a_matrix": z, "x_matrix": z, "h1": [zero] * 4, "h2": [zero] * 4,
        "t": 0.0, "tau": 0.0}
-for path, extra in ((sys.argv[2], {"apparatus": apparatus}), (sys.argv[3], {})):
-    with open(path, "w", encoding="utf-8") as fh:
+eps = {**apparatus, "a_matrix": [[1.0 + 1e-12, 0.0]] + z[1:]}
+h1 = [[1e300, 0.0]] + [zero] * 3
+for name, extra in (("bell", {"apparatus": apparatus}), ("bell_bare", {}),
+                    ("bell_eps", {"apparatus": eps}), ("bare_phase", {"h1": h1, "tau": 1e10})):
+    with open(f"{sys.argv[2]}/{name}.json", "w", encoding="utf-8") as fh:
         json.dump({**doc, **extra}, fh, indent=1)
         fh.write("\n")
 EOF
@@ -134,6 +143,8 @@ run entangled-json entangled "$out/inputs/bell.json" --json
 run entangled-text entangled "$out/inputs/bell.json"
 run entangled-bare-json entangled "$out/inputs/bell_bare.json" --json
 run entangled-bare-text entangled "$out/inputs/bell_bare.json"
+run entangled-eps-json entangled "$out/inputs/bell_eps.json" --json
+run entangled-bare-phase-json entangled "$out/inputs/bare_phase.json" --json
 run entangled-free-json entangled "$out/inputs/free.json" --json
 run entangled-swap-json entangled "$out/inputs/swap_free.json" --json
 run entangled-zero-json entangled "$out/inputs/zero_outcome.json" --json
