@@ -12,8 +12,10 @@ apparatus dilation by which it never forms the state on that space.
 
 Bayes: `prior_state` is the distant subsystem's state rho2(t),
 `posterior_state` conditions it on one outcome of A, and `posteriors` on
-each with nonzero marginal.  They and the formula evolve the pair only
-through `EntangledScenario.evolution`.
+each with nonzero marginal, normalized after evolving by
+`quantum.conditional_state`.  They and the formula evolve the pair only
+through `EntangledScenario.evolution`, and it and the oracle form
+e^{-i h t} by `linalg.spectral_expm`.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .linalg import (
     identity,
     is_hermitian,
     partial_trace,
+    spectral_expm,
     tensor,
 )
 from .measurement import MeasurementModel, verify_measures
@@ -40,6 +43,7 @@ from .quantum import (
     Distribution,
     Observable,
     OutcomeDistribution,
+    conditional_state,
     operator_deviation,
     outcome_index,
 )
@@ -87,8 +91,7 @@ class EntangledScenario:
 
     def evolution(self, k: int, time: float) -> np.ndarray:
         """e^{-i h_k time} on subsystem k (0 or 1), as `herm_expm` builds it."""
-        w, v = self._spectra[k]
-        return (v * np.exp(-1j * w * time)) @ dagger(v)
+        return spectral_expm(*self._spectra[k], time)
 
 
 def _check_phase(field: str, w_max: float, time: str, value: float):
@@ -171,17 +174,13 @@ def joint_distribution_oracle(s: EntangledScenario, model: MeasurementModel) -> 
     da = model.apparatus_dim
     n12, n2a = d1 * d2, d2 * da
     w, v = np.linalg.eigh(tensor(s.h1, identity(d2)) + tensor(identity(d1), s.h2))
-
-    def pair_evolution(time):
-        return (v * np.exp(-1j * w * time)) @ dagger(v)
-
-    u = pair_evolution(s.t)
+    u = spectral_expm(w, v, s.t)
     rho = u @ s.rho12.matrix @ dagger(u)
     # U (1 (x) |p_l>): k[i, b, j, l] = sum_b' U[(i, b), (j, b')] p_l[b']
     k = (model.u.reshape(-1, da) @ model.pointer).reshape(d1, da, d1, -1)
     # V_l[(i, b, y), (j, y')] = sum_i' u12(tau)[(i, y), (i', y')] k[i', b, j, l],
     # laid out as vl[(y, b), (i, l), (j, y')]: Tr_S1 and the sum over l are one sum over (i, l)
-    u = pair_evolution(s.tau).reshape(d1, d2, d1, d2)
+    u = spectral_expm(w, v, s.tau).reshape(d1, d2, d1, d2)
     vl = np.tensordot(u, k, axes=([2], [0]))  # [i, y, y', b, j, l]
     vl = vl.transpose(1, 3, 0, 5, 4, 2).reshape(n2a, -1)
     block = (vl.reshape(-1, n12) @ rho).reshape(n2a, -1) @ vl.conj().T
@@ -203,15 +202,13 @@ def prior_state(s: EntangledScenario) -> DensityOperator:
 
 
 def posterior_state(s: EntangledScenario, a: float) -> DensityOperator:
-    """rho2(t | A(t)=a): the distant subsystem's state conditioned on the local outcome."""
+    """rho2(t | A(t)=a): the distant subsystem's state conditioned on the local outcome,
+    Tr_1[(E^A_t(a) (x) 1) rho12] evolved to t and then normalized (`conditional_state`)."""
     u1 = s.evolution(0, -s.t)
     ea_t = u1 @ s.a_obs.projection(a) @ dagger(u1)
     selected = partial_trace(tensor(ea_t, identity(s.dims[1])) @ s.rho12.matrix, s.dims, [1])
-    p = float(np.trace(selected).real)
-    if p <= TOL_PROB:
-        raise ZeroProbabilityError(f"outcome {a} has probability {p}; posterior undefined")
     u = s.evolution(1, s.t)
-    return DensityOperator(u @ selected @ dagger(u) / p)
+    return conditional_state(u @ selected @ dagger(u), a)
 
 
 def posteriors(s: EntangledScenario, joint: JointDistribution) -> list:

@@ -34,7 +34,7 @@ from .modelio import (
     save_json,
     scenario_from_dict,
 )
-from .quantum import DensityOperator, outcome_index, pure
+from .quantum import DensityOperator, pure
 from .zoo import KET_0, KET_1, KET_MINUS, KET_PLUS, standard_models
 
 EXIT_OK = 0
@@ -127,11 +127,6 @@ def _parse_state(spec: str, dim: int) -> DensityOperator:
 def cmd_reduce(args) -> int:
     model = model_from_dict(load_json(args.model))
     rho = _parse_state(args.state, model.object_dim)
-    try:
-        outcome_index(model.outcomes(), args.outcome)
-    except KeyError:
-        raise ValidationError(
-            f"outcome {args.outcome} is not in the spectrum {model.outcomes()}") from None
     p = outcome_probability(model, rho).probability(args.outcome)
     reduced = state_reduction(model, rho, args.outcome)
     _dump({"probability": p, "matrix": matrix_to_pairs(reduced.matrix)})

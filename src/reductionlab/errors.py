@@ -6,7 +6,8 @@ class DimensionMismatchError(ValueError):
 
 
 class ValidationError(ValueError):
-    """An object fails its construction invariants (non-unitary u, bad density operator, ...)."""
+    """An object fails its construction invariants (non-unitary u, bad density operator, ...),
+    or a label names no outcome (`quantum.outcome_index`)."""
 
 
 class ZeroProbabilityError(ValueError):

@@ -116,7 +116,12 @@ def herm_expm(h, tau: float) -> np.ndarray:
     if not is_hermitian(a):
         raise ValidationError("herm_expm requires a Hermitian matrix")
     w, v = np.linalg.eigh(a)
-    return (v * np.exp(-1j * w * float(tau))) @ dagger(v)
+    return spectral_expm(w, v, float(tau))
+
+
+def spectral_expm(w, v, tau: float) -> np.ndarray:
+    """e^{-i h tau} from the eigendecomposition h = v diag(w) v^dag: the one formula."""
+    return (v * np.exp(-1j * w * tau)) @ dagger(v)
 
 
 def spectral_decompose(a) -> list[tuple[float, np.ndarray]]:

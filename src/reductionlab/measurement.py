@@ -37,7 +37,8 @@ J_a = sum_n vec(M_an) vec(M_an)^dag with vec(E^A(a)) vec(E^A(a))^dag in the
 max-entry norm at the operator tolerance: no seed and no set of states.
 
 `reductions(model, rho)` is the state reduction of rho, computed once per
-state: (a, P(a), rho_a) for each outcome with P(a) > TOL_PROB.
+state: (a, P(a), rho_a) for each outcome with P(a) > TOL_PROB.  Both
+reductions end in `quantum.conditional_state`, rho_a = I_a(rho) / Tr I_a(rho).
 The checks here return deviations; `reductionlab.checks` judges them.
 """
 
@@ -47,7 +48,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ValidationError, ZeroProbabilityError
+from .errors import DimensionMismatchError, ValidationError
 from .linalg import (
     TOL_EIG,
     TOL_OP,
@@ -63,6 +64,7 @@ from .quantum import (
     Observable,
     OutcomeDistribution,
     born_distribution,
+    conditional_state,
     operator_deviation,
     outcome_index,
 )
@@ -203,11 +205,7 @@ def state_reduction(model: MeasurementModel, rho: DensityOperator, a: float) -> 
     """rho_a = I_a(rho) / P(a) = sum_{k,l} M_akl rho M_akl^dag / P(a)."""
     model._check_state(rho)
     basis = model.probe.bases[outcome_index(model.outcomes(), a)]
-    num = _apply(model._kraus(basis), rho.matrix)
-    p = float(np.trace(num).real)
-    if p <= TOL_PROB:
-        raise ZeroProbabilityError(f"outcome {a} has probability {p}; reduced state undefined")
-    return DensityOperator(num / p)
+    return conditional_state(_apply(model._kraus(basis), rho.matrix), a)
 
 
 def state_reduction_sandwiched(model: MeasurementModel, rho: DensityOperator,
@@ -226,12 +224,8 @@ def state_reduction_sandwiched(model: MeasurementModel, rho: DensityOperator,
     x = rho.matrix.T @ x
     # (1 (x) E^B(a)) on the left only: the right-hand copy moves under Tr_A, E^B(a)^2 = E^B(a)
     y = model.probe_projection(a) @ x.reshape(d, da, n)
-    # num[i, i'] = sum_{beta, (k, gamma)} y[i, beta, (k, gamma)] conj(U)[(i', beta), (k, gamma)]
-    num = y.reshape(d, da * n) @ model.u.conj().reshape(d, da * n).T
-    p = float(np.trace(num).real)
-    if p <= TOL_PROB:
-        raise ZeroProbabilityError(f"outcome {a} has probability {p}; reduced state undefined")
-    return DensityOperator(num / p)
+    # I_a(rho)[i, i'] = sum_{beta, m} y[i, beta, m] conj(U)[(i', beta), m] over m = (k, gamma)
+    return conditional_state(y.reshape(d, da * n) @ model.u.conj().reshape(d, da * n).T, a)
 
 
 def reductions(model: MeasurementModel,

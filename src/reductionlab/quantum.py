@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ValidationError
+from .errors import DimensionMismatchError, ValidationError, ZeroProbabilityError
 from .linalg import (
     TOL_EIG,
     TOL_OP,
@@ -28,13 +28,13 @@ from .linalg import (
 def outcome_index(labels, a: float) -> int:
     """Position of the label nearest `a`, which must lie within TOL_EIG of it.
 
-    Raises KeyError when no label is that close; a NaN or infinite `a`
-    matches nothing.
+    Raises ValidationError when no label is that close; a NaN or infinite
+    `a` matches nothing.
     """
     gaps = [abs(val - a) for val in labels]
     gap = min(gaps)
     if not gap <= TOL_EIG:  # also refuses a NaN gap
-        raise KeyError(f"{a} is not an outcome in {list(labels)}")
+        raise ValidationError(f"outcome {a} is not in the spectrum {list(labels)}")
     return gaps.index(gap)
 
 
@@ -84,6 +84,14 @@ class DensityOperator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+
+def conditional_state(num: np.ndarray, a: float) -> DensityOperator:
+    """num / Tr num, the state conditioned on outcome `a`; refused when Tr num <= TOL_PROB."""
+    p = float(np.trace(num).real)
+    if p <= TOL_PROB:
+        raise ZeroProbabilityError(f"outcome {a} has probability {p}; reduced state undefined")
+    return DensityOperator(num / p)
 
 
 class Distribution:
@@ -176,21 +184,12 @@ def random_density(rng: np.random.Generator, dim: int) -> DensityOperator:
 
 
 def spanning_states(dim: int) -> list[DensityOperator]:
-    """dim^2 states whose span is all Hermitian matrices (symmetrized matrix units)."""
-    out = []
-    for j in range(dim):
-        e = np.zeros((dim, dim), dtype=complex)
-        e[j, j] = 1.0
-        out.append(DensityOperator(e))
+    """dim^2 states whose span is all Hermitian matrices: |e_j><e_j| for each j, then
+    |v><v| / 2 for v = e_j + e_k and v = e_j + i e_k, for each j < k."""
+    e = np.eye(dim, dtype=complex)
+    out = [DensityOperator(np.outer(e[j], e[j])) for j in range(dim)]
     for j in range(dim):
         for k in range(j + 1, dim):
-            m = np.zeros((dim, dim), dtype=complex)
-            m[j, j] = m[k, k] = 0.5
-            m[j, k] = m[k, j] = 0.5
-            out.append(DensityOperator(m))
-            m = np.zeros((dim, dim), dtype=complex)
-            m[j, j] = m[k, k] = 0.5
-            m[j, k] = -0.5j
-            m[k, j] = 0.5j
-            out.append(DensityOperator(m))
+            out += [DensityOperator(np.outer(v, v.conj()) / 2)
+                    for v in (e[j] + e[k], e[j] + 1j * e[k])]
     return out

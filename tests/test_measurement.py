@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reductionlab import checks, linalg, measurement
-from reductionlab.bayes import JointDistribution, bayes_condition
+from reductionlab.bayes import (EntangledScenario, JointDistribution, bayes_condition,
+                               posterior_state)
 from reductionlab.errors import DimensionMismatchError, ValidationError, ZeroProbabilityError
 from reductionlab.linalg import (TOL_EIG, TOL_OP, TOL_PROB, dagger, herm_expm, identity,
                                 max_abs, partial_trace, tensor)
@@ -197,6 +198,8 @@ class TestStateReduction:
 
 
 AMBIGUOUS = [0.0, 1.5e-8, 1.0]  # a query of 9e-9 lies within TOL_EIG of the first two labels
+AMBIGUOUS_JOINT = {(0.0, 0.0): 0.2, (0.0, 1.0): 0.0, (1.5e-8, 0.0): 0.1,
+                   (1.5e-8, 1.0): 0.2, (1.0, 0.0): 0.25, (1.0, 1.0): 0.25}
 
 
 class TestOutcomeLabels:
@@ -205,7 +208,7 @@ class TestOutcomeLabels:
     def test_within_the_gap_or_nothing(self):
         assert outcome_index([0.0, 1.0], 1.0 + 0.5 * TOL_EIG) == 1
         for a in (0.5, 1.0 + 2 * TOL_EIG):
-            with pytest.raises(KeyError):
+            with pytest.raises(ValidationError, match="is not in the spectrum"):
                 outcome_index([0.0, 1.0], a)
 
     def test_ambiguous_label_names_the_nearest_outcome(self):
@@ -215,8 +218,7 @@ class TestOutcomeLabels:
         assert max_abs(obs.projection(9e-9) - np.diag([0.0, 1.0, 0.0])) == 0.0
         dist = OutcomeDistribution({0.0: 0.2, 1.5e-8: 0.3, 1.0: 0.5})
         assert dist.probability(9e-9) == 0.3
-        joint = JointDistribution({(0.0, 0.0): 0.2, (0.0, 1.0): 0.0, (1.5e-8, 0.0): 0.1,
-                                   (1.5e-8, 1.0): 0.2, (1.0, 0.0): 0.25, (1.0, 1.0): 0.25})
+        joint = JointDistribution(AMBIGUOUS_JOINT)
         assert bayes_condition(joint, 9e-9).entries == bayes_condition(joint, 1.5e-8).entries
         model = controlled_shift_model(obs)
         rho = pure(np.ones(3))
@@ -227,10 +229,12 @@ class TestOutcomeLabels:
     def test_non_finite_label_names_no_outcome(self, a):
         obs = Observable(np.diag(AMBIGUOUS))
         dist = OutcomeDistribution({0.0: 0.2, 1.5e-8: 0.3, 1.0: 0.5})
+        joint = JointDistribution(AMBIGUOUS_JOINT)
         model = controlled_shift_model(obs)
         for lookup in (lambda a: outcome_index(AMBIGUOUS, a), obs.projection, dist.probability,
-                       lambda a: state_reduction(model, pure(np.ones(3)), a)):
-            with pytest.raises(KeyError):
+                       lambda a: state_reduction(model, pure(np.ones(3)), a),
+                       lambda a: bayes_condition(joint, a), model.probe_projection):
+            with pytest.raises(ValidationError, match="is not in the spectrum"):
                 lookup(a)
 
     @settings(max_examples=40, deadline=None)
@@ -250,6 +254,64 @@ class TestOutcomeLabels:
         for _ in range(3):
             rho = random_density(rng, d)
             assert mixture_identity_check(model, rho, reductions(model, rho)) <= TOL_OP
+
+
+def _weighted_pure(rng, bases, w):
+    """A pure state with weight w on span(bases[0]) and 1 - w spread evenly over the
+    other eigenspaces, and its normalized part in the first: (rho, v0)."""
+    vs = []
+    for b in bases:
+        c = rng.standard_normal(b.shape[1]) + 1j * rng.standard_normal(b.shape[1])
+        vs.append(b @ (c / np.linalg.norm(c)))
+    weights = [w] + [(1 - w) / (len(bases) - 1)] * (len(bases) - 1)
+    psi = sum(np.sqrt(p) * v for p, v in zip(weights, vs))
+    return DensityOperator(np.outer(psi, psi.conj())), vs[0]
+
+
+ITEM_2 = "ROADMAP item 2: a state conditioned on a small P(a) is judged at TOL_OP, not relative"
+WEIGHT = 1e-9
+REFERENCE_BOUND = 1e-9 + 1e-15 / WEIGHT  # the reduce-large reference bound at P(a) = WEIGHT
+
+
+class TestConditionalState:
+    """Every state reduction and Bayes posterior is normalized by `quantum.conditional_state`."""
+
+    @pytest.mark.parametrize("condition", [
+        lambda: state_reduction(CNOT, pure(KET_0), -1.0),
+        lambda: state_reduction_sandwiched(CNOT, pure(KET_0), -1.0),
+        lambda: posterior_state(EntangledScenario(
+            DensityOperator(tensor(pure(KET_0).matrix, identity(2) / 2)),
+            Observable(PAULI_Z), Observable(PAULI_Z)), -1.0),
+    ], ids=["state_reduction", "state_reduction_sandwiched", "posterior_state"])
+    def test_zero_probability_has_one_message(self, condition):
+        with pytest.raises(ZeroProbabilityError,
+                           match=r"^outcome -1\.0 has probability \S+; reduced state undefined$"):
+            condition()
+
+    @pytest.mark.xfail(raises=ValidationError, strict=True, reason=ITEM_2)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_reduction_of_a_small_weight(self, seed):
+        model = random_indirect_model(seed, 3, 4)  # Lueders: rho_0 is the state's part in E^A(0)
+        rho, v0 = _weighted_pure(np.random.default_rng(100 + seed), model.measured.bases, WEIGHT)
+        a, _, rho_a = reductions(model, rho)[0]
+        assert a == model.outcomes()[0]
+        assert operator_deviation(rho_a, np.outer(v0, v0.conj())) <= REFERENCE_BOUND
+
+    @pytest.mark.xfail(raises=ValidationError, strict=True, reason=ITEM_2)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_posterior_of_a_small_weight(self, seed):
+        rng = np.random.default_rng(seed)
+        v = haar_unitary(rng, 3)
+        a_obs = Observable(v @ np.diag([0.0, 1.0, 2.0]) @ dagger(v))
+        x_obs = random_observable(rng, 4)
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        rho12, v0 = _weighted_pure(rng, [np.kron(b, identity(4)) for b in a_obs.bases], WEIGHT)
+        s = EntangledScenario(rho12, a_obs, x_obs, h2=(g + dagger(g)) / 2, t=0.0, tau=0.3)
+        evaluated = checks.evaluate_scenario(s)
+        a, _, post = evaluated.posteriors[0]
+        assert a == a_obs.eigenvalues[0]
+        ref = partial_trace(np.outer(v0, v0.conj()), (3, 4), [1])  # t = 0: no evolution
+        assert operator_deviation(post, ref) <= REFERENCE_BOUND
 
 
 class TestMixtureIdentity:
