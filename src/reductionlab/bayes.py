@@ -36,6 +36,7 @@ from .linalg import (
     partial_trace,
     spectral_expm,
     tensor,
+    within_rounding,
 )
 from .measurement import MeasurementModel, verify_measures
 from .quantum import (
@@ -133,10 +134,11 @@ def joint_distribution_oracle(s: EntangledScenario, model: MeasurementModel) -> 
     """Brute-force joint distribution via the full three-factor dynamics.
 
     `model` is the local apparatus for the first subsystem, refused
-    (ValidationError) unless it measures the scenario's A with as many
-    outcomes and meets the measuring condition, both at TOL_OP, or when
-    the pair phase overflows.  A's labels are the scenario's, the i-th read
-    on the i-th eigenspace of B.  Its interaction acts on H1 (x) HA only, so
+    (ValidationError) unless it measures the scenario's A (at TOL_OP and the
+    scale of the scenario's A, `within_rounding`) with as many outcomes and
+    meets the measuring condition at TOL_OP, or when the pair phase
+    overflows.  A's labels are the scenario's, the i-th read on the i-th
+    eigenspace of B.  Its interaction acts on H1 (x) HA only, so
     its extension to the full space commutes with every observable of subsystem 2.
 
     Evolves the pair freely to time t, prepares the apparatus in sigma,
@@ -161,11 +163,11 @@ def joint_distribution_oracle(s: EntangledScenario, model: MeasurementModel) -> 
     rho12 is used as given, so the result is linear in it; no operator on
     H1 (x) HA (x) H2 is ever formed.
     """
-    if (operator_deviation(model.measured.matrix, s.a_obs.matrix) > TOL_OP
-            or len(model.outcomes()) != len(s.a_obs.eigenvalues)):
+    if (not within_rounding(operator_deviation(model.measured.matrix, s.a_obs.matrix), TOL_OP,
+                            s.a_obs.matrix) or len(model.outcomes()) != len(s.a_obs.eigenvalues)):
         raise ValidationError("apparatus model does not target the scenario's observable")
     dev = verify_measures(model)
-    if not dev <= TOL_OP:  # also refuses a NaN deviation
+    if not within_rounding(dev, TOL_OP):  # also refuses a NaN deviation
         raise ValidationError(f"apparatus model fails the measuring condition (deviation {dev})")
     # the pair evolution has max|eigenvalue of h12| <= max|w(h1)| + max|w(h2)|, for t and tau
     w12 = sum(float(np.max(np.abs(w))) for w, _ in s._spectra)

@@ -1,7 +1,7 @@
 """Command-line front end: verify, reduce, entangled, sweep, export-zoo.
 
-Exit codes: 0 ok, 1 usage error, 2 a named path the system cannot open or
-create, 3 parse error, 4 validation error, 5 zero-probability outcome.
+Exit codes: 0 ok, 1 usage error, 2 a named path the system cannot open or create, 3 parse
+error, 4 validation error, 5 zero-probability outcome, 141 stdout closed (`... | head`).
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ EXIT_MISSING_FILE = 2
 EXIT_PARSE = 3
 EXIT_VALIDATION = 4
 EXIT_ZERO_PROBABILITY = 5
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
 
 TOL_ENV_VAR = "REDUCTIONLAB_TOL"
 
@@ -267,12 +268,17 @@ def main(argv=None) -> int:
         env = os.environ.get(TOL_ENV_VAR)
         default_tol = TOL_OP if env is None else _tolerance(env, TOL_ENV_VAR)
         args = build_parser(default_tol).parse_args(argv)
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # so that a closed stdout shows here, not at shutdown
+        return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:  # the reader has gone: what stays buffered goes to devnull at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except OSError as exc:
-        if exc.filename is None:  # not about a path the user named (a closed pipe, say)
+        if exc.filename is None:  # not about a path the user named (a full disk, say)
             raise
         print(f"error: {exc.strerror}: {exc.filename}", file=sys.stderr)
         return EXIT_MISSING_FILE

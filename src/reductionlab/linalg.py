@@ -14,7 +14,7 @@ from .errors import DimensionMismatchError, ValidationError
 
 # Operator comparisons in max-entry norm.
 TOL_OP = 1e-9
-# Absolute gap below which eigenvalues are merged into one cluster.
+# Gap within which eigenvalues are merged into one cluster.
 TOL_EIG = 1e-8
 # Probability comparisons.
 TOL_PROB = 1e-10
@@ -46,14 +46,21 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().T
 
 
+def within_rounding(deviation: float, tol: float, scale=None) -> bool:
+    """Equal up to rounding: deviation <= tol * max(1, max_abs(scale)), absolute at unit scale,
+    relative above it.  `scale` is what was compared, None for a unit-scale quantity (a unitary,
+    an effect); it is read only when deviation > tol.  A NaN deviation is never within."""
+    return deviation <= tol or (scale is not None and deviation <= tol * max_abs(scale))
+
+
 def is_hermitian(m) -> bool:
     a = as_matrix(m)
-    return max_abs(a - dagger(a)) <= TOL_OP
+    return within_rounding(max_abs(a - dagger(a)), TOL_OP, a)
 
 
 def is_unitary(m) -> bool:
     a = as_matrix(m)
-    return max_abs(a @ dagger(a) - identity(a.shape[0])) <= TOL_OP
+    return within_rounding(max_abs(a @ dagger(a) - identity(a.shape[0])), TOL_OP)
 
 
 def tensor(*factors) -> np.ndarray:
@@ -125,7 +132,7 @@ def spectral_expm(w, v, tau: float) -> np.ndarray:
 
 
 def spectral_decompose(a) -> list[tuple[float, np.ndarray]]:
-    """Eigenvalues (clustered with absolute gap TOL_EIG, ascending) and eigenspace bases.
+    """Eigenvalues (clustered while gaps are within TOL_EIG at max|w|, ascending) and eigenbases.
 
     Each cluster is represented by the mean of its members and by its
     eigenvectors, as the orthonormal columns of a block b; the spectral
@@ -138,7 +145,7 @@ def spectral_decompose(a) -> list[tuple[float, np.ndarray]]:
     out: list[tuple[float, np.ndarray]] = []
     start = 0
     for i in range(1, len(w) + 1):
-        if i == len(w) or w[i] - w[i - 1] > TOL_EIG:
+        if i == len(w) or not within_rounding(w[i] - w[i - 1], TOL_EIG, w):
             out.append((float(np.mean(w[start:i])), v[:, start:i]))
             start = i
     return out

@@ -58,6 +58,7 @@ from .linalg import (
     is_unitary,
     max_abs,
     tensor,
+    within_rounding,
 )
 from .quantum import (
     DensityOperator,
@@ -75,7 +76,8 @@ class MeasurementModel:
 
     The object system always occupies the left tensor factor; U acts on
     object (x) apparatus.  Outcomes of B are aligned with outcomes of A by
-    sorted eigenvalue order, so probe and measured spectra must agree.
+    sorted eigenvalue order, so probe and measured spectra must agree up to
+    rounding at the scale of A's (`within_rounding`).
     """
 
     def __init__(self, sigma: DensityOperator, u, probe: Observable, measured: Observable):
@@ -97,7 +99,7 @@ class MeasurementModel:
                 f"measured dim {measured.dim} != object dim {self.object_dim}"
             )
         ea, eb = measured.eigenvalues, probe.eigenvalues
-        if len(ea) != len(eb) or any(abs(x - y) > TOL_EIG for x, y in zip(ea, eb)):
+        if len(ea) != len(eb) or not within_rounding(max_abs(np.subtract(ea, eb)), TOL_EIG, ea):
             raise ValidationError(
                 f"probe spectrum {eb} does not match measured spectrum {ea}"
             )

@@ -22,18 +22,19 @@ from .linalg import (
     is_hermitian,
     max_abs,
     spectral_decompose,
+    within_rounding,
 )
 
 
 def outcome_index(labels, a: float) -> int:
-    """Position of the label nearest `a`, which must lie within TOL_EIG of it.
+    """Position of the label nearest `a`, within TOL_EIG of it at the labels' scale max|label|.
 
     Raises ValidationError when no label is that close; a NaN or infinite
     `a` matches nothing.
     """
     gaps = [abs(val - a) for val in labels]
     gap = min(gaps)
-    if not gap <= TOL_EIG:  # also refuses a NaN gap
+    if not within_rounding(gap, TOL_EIG, list(labels)):  # also refuses a NaN gap
         raise ValidationError(f"outcome {a} is not in the spectrum {list(labels)}")
     return gaps.index(gap)
 

@@ -52,23 +52,14 @@ def swap_replace_model(sigma_out: DensityOperator, a_obs: Observable) -> Measure
         raise DimensionMismatchError(
             f"sigma_out dim {sigma_out.dim} != observable dim {d}"
         )
-    swap = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            swap[j * d + i, i * d + j] = 1.0
+    # |i, j> -> |j, i>
+    swap = identity(d * d).reshape(d, d, d, d).transpose(1, 0, 2, 3).reshape(d * d, d * d)
     return MeasurementModel(
         sigma=sigma_out,
         u=swap,
         probe=Observable(a_obs.matrix),
         measured=a_obs,
     )
-
-
-def _cyclic_shift(n: int) -> np.ndarray:
-    s = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        s[(j + 1) % n, j] = 1.0
-    return s
 
 
 def controlled_shift_model(a_obs: Observable,
@@ -86,14 +77,12 @@ def controlled_shift_model(a_obs: Observable,
         raise DimensionMismatchError(
             f"apparatus dim {na} smaller than outcome count {n}"
         )
-    shift = _cyclic_shift(na)
+    shift = np.roll(identity(na), 1, axis=0)  # |j> -> |j + 1 mod na>
     u = np.zeros((a_obs.dim * na, a_obs.dim * na), dtype=complex)
     for k, (_, proj) in enumerate(spectrum):
         u += tensor(proj, np.linalg.matrix_power(shift, k))
-    b = np.zeros((na, na), dtype=complex)
     values = [a for a, _ in spectrum]
-    for j in range(na):
-        b[j, j] = values[j] if j < n else values[0]
+    b = np.diag(values + values[:1] * (na - n)).astype(complex)
     return MeasurementModel(
         sigma=pure(np.eye(na, dtype=complex)[:, 0]),
         u=u,

@@ -5,6 +5,8 @@ import itertools
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reductionlab
 from reductionlab import bayes, checks
 from reductionlab.bayes import EntangledScenario
 from reductionlab.cli import main
@@ -301,6 +304,19 @@ class TestExitCodes:
 
     def test_usage_error(self, capsys):
         assert main(["sweep", "--trials", "0"]) == 1
+
+    def test_closed_stdout(self):
+        # the read end is closed before the process starts, so writing stdout meets EPIPE
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(reductionlab.__file__))}
+        argv = ["sweep", "--trials", "3", "--dims", "2,3", "--json"]
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run([sys.executable, "-m", "reductionlab.cli", *argv], stdout=write,
+                                  stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr.decode()) == (141, "")
 
 
 class TestReduce:

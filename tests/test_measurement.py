@@ -203,13 +203,16 @@ AMBIGUOUS_JOINT = {(0.0, 0.0): 0.2, (0.0, 1.0): 0.0, (1.5e-8, 0.0): 0.1,
 
 
 class TestOutcomeLabels:
-    """A label names the outcome nearest it, within TOL_EIG (`quantum.outcome_index`)."""
+    """A label names the outcome nearest it, within TOL_EIG at the scale of the labels,
+    max(1, max|label|) (`quantum.outcome_index`)."""
 
-    def test_within_the_gap_or_nothing(self):
-        assert outcome_index([0.0, 1.0], 1.0 + 0.5 * TOL_EIG) == 1
-        for a in (0.5, 1.0 + 2 * TOL_EIG):
+    @pytest.mark.parametrize("scale", [1.0, 1e8])
+    def test_within_the_gap_or_nothing(self, scale):
+        labels = [0.0, scale]
+        assert outcome_index(labels, scale * (1.0 + 0.5 * TOL_EIG)) == 1
+        for a in (0.5 * scale, scale * (1.0 + 2 * TOL_EIG), scale * (1.0 + 1e-6)):
             with pytest.raises(ValidationError, match="is not in the spectrum"):
-                outcome_index([0.0, 1.0], a)
+                outcome_index(labels, a)
 
     def test_ambiguous_label_names_the_nearest_outcome(self):
         obs = Observable(np.diag(AMBIGUOUS))
@@ -225,14 +228,15 @@ class TestOutcomeLabels:
         assert operator_deviation(state_reduction(model, rho, 9e-9),
                                   pure(np.array([0.0, 1.0, 0.0]))) < 1e-12
 
+    @pytest.mark.parametrize("scale", [1.0, 1e8])  # the query's own size scales nothing
     @pytest.mark.parametrize("a", [np.nan, np.inf, -np.inf])
-    def test_non_finite_label_names_no_outcome(self, a):
-        obs = Observable(np.diag(AMBIGUOUS))
-        dist = OutcomeDistribution({0.0: 0.2, 1.5e-8: 0.3, 1.0: 0.5})
-        joint = JointDistribution(AMBIGUOUS_JOINT)
+    def test_non_finite_label_names_no_outcome(self, a, scale):
+        obs = Observable(np.diag(AMBIGUOUS) * scale)
+        dist = OutcomeDistribution({0.0: 0.2, 1.5e-8 * scale: 0.3, scale: 0.5})
+        joint = JointDistribution({(aa * scale, x): p for (aa, x), p in AMBIGUOUS_JOINT.items()})
         model = controlled_shift_model(obs)
-        for lookup in (lambda a: outcome_index(AMBIGUOUS, a), obs.projection, dist.probability,
-                       lambda a: state_reduction(model, pure(np.ones(3)), a),
+        for lookup in (lambda a: outcome_index(obs.eigenvalues, a), obs.projection,
+                       dist.probability, lambda a: state_reduction(model, pure(np.ones(3)), a),
                        lambda a: bayes_condition(joint, a), model.probe_projection):
             with pytest.raises(ValidationError, match="is not in the spectrum"):
                 lookup(a)

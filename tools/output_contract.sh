@@ -5,12 +5,13 @@
 #   tools/output_contract.sh OUTDIR
 #
 # OUTDIR/inputs holds the exported zoo, the CNOT model with an object
-# Hamiltonian, the Bell/CNOT scenario, the Bell scenario without an
-# apparatus, a variant of each (an apparatus whose A is 1e-12 off the
-# scenario's; a pair phase that overflows with no apparatus to form
-# it), two scenarios with free evolution (one with a full-rank
-# apparatus state sigma), a scenario in which one outcome of A has probability
-# 0, and OUTDIR/NAME.out, NAME.err
+# Hamiltonian, the seeded random model with A and B times 1e8, the
+# Bell/CNOT scenario, the Bell scenario without an apparatus, a variant of
+# each (an apparatus whose A is 1e-12 off the scenario's, also with the
+# scenario's A and the apparatus's A and B times 1e8; a pair phase that
+# overflows with no apparatus to form it), two scenarios with free
+# evolution (one with a full-rank apparatus state sigma), a scenario in
+# which one outcome of A has probability 0, and OUTDIR/NAME.out, NAME.err
 # and NAME.code each command's results.  Two checkouts give the same answers
 # when `diff -r OUT_A OUT_B` prints nothing.
 set -eu
@@ -23,23 +24,36 @@ zoo="$out/inputs/zoo"
 
 python3 -m reductionlab.cli export-zoo "$zoo" > /dev/null
 # The CNOT model with a nonzero Hermitian object_hamiltonian, which model files
-# of format "1" may carry: it is checked when read and changes no answer
-python3 - "$zoo/cnot.json" "$out/inputs/cnot_hamiltonian.json" <<'EOF'
+# of format "1" may carry: it is checked when read and changes no answer.
+# random_indirect_scaled.json is random_indirect_42.json with A and B times 1e8,
+# legal operators in large units
+python3 - "$zoo" "$out/inputs" <<'EOF'
 import json
 import sys
 
-with open(sys.argv[1], encoding="utf-8") as fh:
-    doc = json.load(fh)
-doc["object_hamiltonian"] = [[0.5, 0.0], [0.0, -2.0], [0.0, 2.0], [-1.0, 0.0]]
-with open(sys.argv[2], "w", encoding="utf-8") as fh:
-    json.dump(doc, fh, indent=1)
-    fh.write("\n")
+
+def load(name):
+    with open(f"{sys.argv[1]}/{name}.json", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+cnot = load("cnot")
+cnot["object_hamiltonian"] = [[0.5, 0.0], [0.0, -2.0], [0.0, 2.0], [-1.0, 0.0]]
+model = load("random_indirect_42")
+for field in ("a_matrix", "b_matrix"):
+    model[field] = [[1e8 * re, 1e8 * im] for re, im in model[field]]
+for name, doc in (("cnot_hamiltonian", cnot), ("random_indirect_scaled", model)):
+    with open(f"{sys.argv[2]}/{name}.json", "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
 EOF
 
 # Bell state, Z on both sides, no free evolution, the CNOT model as apparatus;
 # bell_bare.json is the same scenario without the `apparatus` key.
 # bell_eps.json is bell.json with the apparatus's copy of A 1e-12 off the
 # scenario's, so that the oracle's joint must carry the scenario's labels;
+# bell_eps_scaled.json is bell_eps.json with the scenario's A and the
+# apparatus's A and B times 1e8, so that the 1e-12 is relative to A's scale;
 # bare_phase.json is bell_bare.json with h1 = diag(1e300, 0) and tau = 1e10, a
 # pair phase that overflows but that no computation forms without an apparatus
 python3 - "$zoo/cnot.json" "$out/inputs" <<'EOF'
@@ -56,9 +70,17 @@ doc = {"format_version": "1", "dim1": 2, "dim2": 2,
        "a_matrix": z, "x_matrix": z, "h1": [zero] * 4, "h2": [zero] * 4,
        "t": 0.0, "tau": 0.0}
 eps = {**apparatus, "a_matrix": [[1.0 + 1e-12, 0.0]] + z[1:]}
+
+
+def scaled(pairs):
+    return [[1e8 * re, 1e8 * im] for re, im in pairs]
+
+
+eps_scaled = {**eps, "a_matrix": scaled(eps["a_matrix"]), "b_matrix": scaled(eps["b_matrix"])}
 h1 = [[1e300, 0.0]] + [zero] * 3
 for name, extra in (("bell", {"apparatus": apparatus}), ("bell_bare", {}),
-                    ("bell_eps", {"apparatus": eps}), ("bare_phase", {"h1": h1, "tau": 1e10})):
+                    ("bell_eps", {"apparatus": eps}), ("bare_phase", {"h1": h1, "tau": 1e10}),
+                    ("bell_eps_scaled", {"a_matrix": scaled(z), "apparatus": eps_scaled})):
     with open(f"{sys.argv[2]}/{name}.json", "w", encoding="utf-8") as fh:
         json.dump({**doc, **extra}, fh, indent=1)
         fh.write("\n")
@@ -137,6 +159,7 @@ for model in cnot swap_replace controlled_shift controlled_shift_degenerate rand
     run "verify-$model-tol" verify "$zoo/$model.json" --json --tolerance 1e-3
 done
 run verify-cnot-hamiltonian verify "$out/inputs/cnot_hamiltonian.json" --json
+run verify-scaled verify "$out/inputs/random_indirect_scaled.json" --json
 run sweep-42 sweep --json --seed 42 --trials 30 --dims 2..4
 run sweep-7 sweep --json --seed 7 --trials 2 --dims 6,8
 run entangled-json entangled "$out/inputs/bell.json" --json
@@ -144,6 +167,7 @@ run entangled-text entangled "$out/inputs/bell.json"
 run entangled-bare-json entangled "$out/inputs/bell_bare.json" --json
 run entangled-bare-text entangled "$out/inputs/bell_bare.json"
 run entangled-eps-json entangled "$out/inputs/bell_eps.json" --json
+run entangled-eps-scaled-json entangled "$out/inputs/bell_eps_scaled.json" --json
 run entangled-bare-phase-json entangled "$out/inputs/bare_phase.json" --json
 run entangled-free-json entangled "$out/inputs/free.json" --json
 run entangled-swap-json entangled "$out/inputs/swap_free.json" --json
