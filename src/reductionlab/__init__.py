@@ -38,6 +38,7 @@ from .measurement import (
     effects,
     mixture_identity_check,
     nonselective_state,
+    nonselective_states,
     outcome_probability,
     reductions,
     satisfies_projection_postulate,
@@ -50,6 +51,7 @@ from .quantum import (
     Observable,
     OutcomeDistribution,
     born_distribution,
+    density_operators,
     evolve,
     ket,
     outcome_index,

@@ -210,7 +210,7 @@ def posterior_state(s: EntangledScenario, a: float) -> DensityOperator:
     ea_t = u1 @ s.a_obs.projection(a) @ dagger(u1)
     selected = partial_trace(tensor(ea_t, identity(s.dims[1])) @ s.rho12.matrix, s.dims, [1])
     u = s.evolution(1, s.t)
-    return conditional_state(u @ selected @ dagger(u), a)
+    return conditional_state((u @ selected @ dagger(u))[None], a)[0]
 
 
 def posteriors(s: EntangledScenario, joint: JointDistribution) -> list:

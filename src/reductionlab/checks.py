@@ -1,7 +1,8 @@
 """The paper's invariants as one table of named checks, shared by `verify` and `sweep`.
 
 A check maps its inputs to a max deviation: model checks take (model,
-evaluated), each state paired with its `measurement.reductions`; scenario
+evaluated), the states paired with their reductions by one
+`measurement.reductions` call on the whole stack of states; scenario
 checks take (scenario, evaluated), the joints, prior and posteriors that
 `evaluate_scenario` returns. Both are computed once before any check runs
 and so outside every check's time.
@@ -71,9 +72,13 @@ def _povm(model, evaluated) -> float:
 
 
 def _reduction_equivalence(model, evaluated) -> float:
-    """Kraus-form reductions against the composite-space sandwiched oracle."""
-    return max_abs([operator_deviation(rho_a, state_reduction_sandwiched(model, rho, a))
-                    for rho, reduced in evaluated for a, _, rho_a in reduced])
+    """Kraus-form reductions against the composite-space sandwiched oracle, outcome by outcome."""
+    devs = []
+    for a in model.outcomes():
+        pairs = [(rho, rho_a) for rho, reduced in evaluated for b, _, rho_a in reduced if b == a]
+        oracle = state_reduction_sandwiched(model, [rho for rho, _ in pairs], a)
+        devs += [operator_deviation(rho_a, o) for (_, rho_a), o in zip(pairs, oracle)]
+    return max_abs(devs)
 
 
 def _affinity(model, evaluated) -> float:
@@ -82,7 +87,7 @@ def _affinity(model, evaluated) -> float:
     lam = 0.3
     mix = DensityOperator(lam * rho1.matrix + (1 - lam) * rho2.matrix)
     mixed, first, second = ({a: p * rho_a.matrix for a, p, rho_a in reduced}
-                            for reduced in (reductions(model, mix), reduced1, reduced2))
+                            for reduced in (reductions(model, [mix])[0][1], reduced1, reduced2))
     return max_abs([max_abs(mixed.get(a, 0.0) - lam * first.get(a, 0.0)
                             - (1 - lam) * second.get(a, 0.0)) for a in model.outcomes()])
 
@@ -111,8 +116,8 @@ VERIFY_CHECKS = (
     Check("statistics", PROBABILITY, lambda model, evaluated: statistics_deviation(
         model, [rho for rho, _ in evaluated])),
     Check("reduction_equivalence", OPERATOR, _reduction_equivalence),
-    Check("mixture_identity", OPERATOR, lambda model, evaluated: max_abs(
-        [mixture_identity_check(model, rho, reduced) for rho, reduced in evaluated])),
+    Check("mixture_identity", OPERATOR,
+          lambda model, evaluated: mixture_identity_check(model, evaluated)),
 )
 SWEEP_MODEL_CHECKS = VERIFY_CHECKS + (Check("affinity", OPERATOR, _affinity),)
 LOCAL_MEASUREMENT = Check("local_measurement_theorem", OPERATOR, lambda scenario, evaluated:
@@ -129,7 +134,7 @@ SWEEP_CHECKS = SWEEP_MODEL_CHECKS + SCENARIO_CHECKS
 
 def verify(model, tol_op: float) -> tuple[list[Report], str]:
     """Timed verify checks on the reduced spanning states, and the model's classification."""
-    evaluated = [(rho, reductions(model, rho)) for rho in spanning_states(model.object_dim)]
+    evaluated = reductions(model, spanning_states(model.object_dim))
     reports = [check.run(tol_op, model, evaluated) for check in VERIFY_CHECKS]
     if not reports[0].passed:  # the measuring condition
         return reports, "not-a-measurement-of-claimed-observable"
@@ -148,7 +153,7 @@ def _trial(seed: int, d_obj: int, d_other: int) -> list[Report]:
     rng = np.random.default_rng(seed)
     model = random_indirect_model(seed, d_obj, d_obj + int(rng.integers(0, 2)))
     states = [random_density(rng, d_obj) for _ in range(10)]
-    evaluated = [(rho, reductions(model, rho)) for rho in states]
+    evaluated = reductions(model, states)
     reports = [check.run(TOL_OP, model, evaluated) for check in SWEEP_MODEL_CHECKS]
     scenario = EntangledScenario(
         random_density(rng, d_obj * d_other),

@@ -46,11 +46,15 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().T
 
 
-def within_rounding(deviation: float, tol: float, scale=None) -> bool:
+def within_rounding(deviation, tol: float, scale=None):
     """Equal up to rounding: deviation <= tol * max(1, max_abs(scale)), absolute at unit scale,
     relative above it.  `scale` is what was compared, None for a unit-scale quantity (a unitary,
-    an effect); it is read only when deviation > tol.  A NaN deviation is never within."""
-    return deviation <= tol or (scale is not None and deviation <= tol * max_abs(scale))
+    an effect); it is read at most once, and only when some deviation > tol.  An array of
+    deviations is judged elementwise.  A NaN deviation is never within."""
+    ok = deviation <= tol
+    if scale is None or (ok.all() if isinstance(ok, np.ndarray) else ok):
+        return ok
+    return ok | (deviation <= tol * max_abs(scale))
 
 
 def is_hermitian(m) -> bool:
@@ -142,10 +146,5 @@ def spectral_decompose(a) -> list[tuple[float, np.ndarray]]:
     if not is_hermitian(m):
         raise ValidationError("spectral_decompose requires a Hermitian matrix")
     w, v = np.linalg.eigh(m)
-    out: list[tuple[float, np.ndarray]] = []
-    start = 0
-    for i in range(1, len(w) + 1):
-        if i == len(w) or not within_rounding(w[i] - w[i - 1], TOL_EIG, w):
-            out.append((float(np.mean(w[start:i])), v[:, start:i]))
-            start = i
-    return out
+    cuts = [0, *(np.flatnonzero(~within_rounding(np.diff(w), TOL_EIG, w)) + 1), len(w)]
+    return [(float(np.mean(w[i:j])), v[:, i:j]) for i, j in zip(cuts, cuts[1:]) if i < j]

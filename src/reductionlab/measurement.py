@@ -36,9 +36,13 @@ their Choi matrices are, so the test compares, for every outcome,
 J_a = sum_n vec(M_an) vec(M_an)^dag with vec(E^A(a)) vec(E^A(a))^dag in the
 max-entry norm at the operator tolerance: no seed and no set of states.
 
-`reductions(model, rho)` is the state reduction of rho, computed once per
-state: (a, P(a), rho_a) for each outcome with P(a) > TOL_PROB.  Both
-reductions end in `quantum.conditional_state`, rho_a = I_a(rho) / Tr I_a(rho).
+I_a is linear in rho, so `reductions(model, states)` reduces a list of
+states as one stack R (m, d, d) with one Kraus stack per outcome: the
+products above take R in place of rho, and yield (a, P(a), rho_a) for
+each state and each outcome with P(a) > TOL_PROB.  `state_reduction` and
+`nonselective_state` are the one-state case of the same products.  Every
+reduction ends in `quantum.conditional_state`, rho_a = I_a(rho) / Tr I_a(rho),
+which judges a whole stack in one batched call.
 The checks here return deviations; `reductionlab.checks` judges them.
 """
 
@@ -66,6 +70,7 @@ from .quantum import (
     OutcomeDistribution,
     born_distribution,
     conditional_state,
+    density_operators,
     operator_deviation,
     outcome_index,
 )
@@ -172,10 +177,19 @@ class MeasurementModel:
         return self.u @ tensor(rho.matrix, self.sigma.matrix) @ dagger(self.u)
 
 
-def _apply(kraus: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """sum_n M_n rho M_n^dag over a Kraus stack V[i, n, j] = M_n[i, j], as two flat products."""
-    d = rho.shape[0]
-    return (kraus.reshape(-1, d) @ rho).reshape(d, -1) @ kraus.reshape(d, -1).conj().T
+def _apply(kraus: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """sum_n M_n rho M_n^dag for each state rho of r (..., d, d) over a Kraus stack
+    V[i, n, j] = M_n[i, j], as two flat products."""
+    d, n = kraus.shape[0], kraus.shape[0] * kraus.shape[1]
+    return (kraus.reshape(-1, d) @ r).reshape(*r.shape[:-2], d, n) @ kraus.reshape(d, n).conj().T
+
+
+def _stack(model: MeasurementModel, states) -> np.ndarray:
+    """The states' matrices as one stack (m, d, d), each checked against the object dim."""
+    for rho in states:
+        model._check_state(rho)
+    d = model.object_dim
+    return np.array([rho.matrix for rho in states]).reshape(-1, d, d)
 
 
 def effects(model: MeasurementModel) -> list[tuple[float, np.ndarray]]:
@@ -197,50 +211,78 @@ def outcome_probability(model: MeasurementModel, rho: DensityOperator) -> Outcom
     )
 
 
+def nonselective_states(model: MeasurementModel, states) -> list[DensityOperator]:
+    """rho' = sum_a I_a(rho) = Tr_A[U (rho (x) sigma) U^dag] of each state, on one stack:
+    the outcome-averaged state change."""
+    return density_operators(_apply(model._kraus(), _stack(model, states)))
+
+
 def nonselective_state(model: MeasurementModel, rho: DensityOperator) -> DensityOperator:
-    """rho' = sum_a I_a(rho) = Tr_A[U (rho (x) sigma) U^dag]: the outcome-averaged state change."""
+    """rho' of one state: the products of `nonselective_states` on a stack of one."""
     model._check_state(rho)
-    return DensityOperator(_apply(model._kraus(), rho.matrix))
+    return density_operators(_apply(model._kraus(), rho.matrix[None]))[0]
 
 
 def state_reduction(model: MeasurementModel, rho: DensityOperator, a: float) -> DensityOperator:
-    """rho_a = I_a(rho) / P(a) = sum_{k,l} M_akl rho M_akl^dag / P(a)."""
+    """rho_a = I_a(rho) / P(a) = sum_{k,l} M_akl rho M_akl^dag / P(a): the one-state case of
+    `reductions`."""
     model._check_state(rho)
     basis = model.probe.bases[outcome_index(model.outcomes(), a)]
-    return conditional_state(_apply(model._kraus(basis), rho.matrix), a)
+    return conditional_state(_apply(model._kraus(basis), rho.matrix[None]), a)[0]
 
 
-def state_reduction_sandwiched(model: MeasurementModel, rho: DensityOperator,
-                               a: float) -> DensityOperator:
-    """Oracle: Tr_A[(1 (x) E^B(a)) U (rho (x) sigma) U^dag (1 (x) E^B(a))] / P(a).
+def state_reduction_sandwiched(model: MeasurementModel, states, a: float) -> list[DensityOperator]:
+    """Oracle: Tr_A[(1 (x) E^B(a)) U (rho (x) sigma) U^dag (1 (x) E^B(a))] / P(a) for each state.
 
-    Contracted on the (object, apparatus) indices in the order the module
-    docstring gives; no Kronecker product is formed.
+    Contracted one state at a time, on the (object, apparatus) indices in the
+    order the module docstring gives; no Kronecker product is formed.  Only
+    the conditioning and judging of the results are batched.
     """
-    model._check_state(rho)
+    r = _stack(model, states)
     d, da = model.object_dim, model.apparatus_dim
     n = d * da
+    proj = model.probe_projection(a)
     # x[(i, beta), j, gamma] = sum_beta' U[(i, beta), (j, beta')] sigma[beta', gamma]
     x = (model.u.reshape(-1, da) @ model.sigma.matrix).reshape(n, d, da)
-    # x[(i, beta), k, gamma] = sum_j rho[j, k] x[(i, beta), j, gamma]: U (rho (x) sigma)
-    x = rho.matrix.T @ x
-    # (1 (x) E^B(a)) on the left only: the right-hand copy moves under Tr_A, E^B(a)^2 = E^B(a)
-    y = model.probe_projection(a) @ x.reshape(d, da, n)
-    # I_a(rho)[i, i'] = sum_{beta, m} y[i, beta, m] conj(U)[(i', beta), m] over m = (k, gamma)
-    return conditional_state(y.reshape(d, da * n) @ model.u.conj().reshape(d, da * n).T, a)
+    u_bar = model.u.conj().reshape(d, da * n).T
+    nums = []
+    for rho in r:
+        # sum_j rho[j, k] x[(i, beta), j, gamma]: U (rho (x) sigma), then (1 (x) E^B(a)) on the
+        # left only: the right-hand copy moves under Tr_A, E^B(a)^2 = E^B(a)
+        y = proj @ (rho.T @ x).reshape(d, da, n)
+        # I_a(rho)[i, i'] = sum_{beta, m} y[i, beta, m] conj(U)[(i', beta), m] over m = (k, gamma)
+        nums.append(y.reshape(d, da * n) @ u_bar)
+    return conditional_state(np.array(nums).reshape(-1, d, d), a)
 
 
-def reductions(model: MeasurementModel,
-               rho: DensityOperator) -> list[tuple[float, float, DensityOperator]]:
-    """[(a, P(a), rho_a)] for every outcome with P(a) > TOL_PROB, in outcome order."""
-    dist = outcome_probability(model, rho)
-    return [(a, p, state_reduction(model, rho, a)) for a, p in dist.entries.items() if p > TOL_PROB]
+def reductions(model: MeasurementModel, states) -> list[tuple[DensityOperator, list]]:
+    """[(rho, [(a, P(a), rho_a)])] for each state, over every outcome with P(a) > TOL_PROB,
+    in outcome order.
+
+    The states are reduced as one stack R (m, d, d), outcome by outcome: P(a)
+    from effect(a) @ R, I_a(R) through one Kraus stack, and one
+    `conditional_state` call on the states that keep a.  Every state's
+    distribution is validated first; a refusal then names the first state, in
+    the given order, of the first outcome that refuses.
+    """
+    r = _stack(model, states)
+    probs = np.array([np.trace(eff @ r, axis1=1, axis2=2).real for _, eff in model._effects])
+    for col in probs.T:  # validated as `outcome_probability` validates
+        OutcomeDistribution(dict(zip(model.outcomes(), col.tolist())))
+    reduced = [[] for _ in states]
+    for (a, _), basis, p in zip(model._effects, model.probe.bases, probs):
+        keep = np.flatnonzero(p > TOL_PROB)
+        for i, rho_a in zip(keep, conditional_state(_apply(model._kraus(basis), r[keep]), a)):
+            reduced[i].append((a, float(p[i]), rho_a))
+    return list(zip(states, reduced))
 
 
-def mixture_identity_check(model: MeasurementModel, rho: DensityOperator, reduced) -> float:
-    """Deviation of rho' from sum_a P(a) rho_a, summed over `reduced` = reductions(model, rho)."""
-    mix = sum(p * rho_a.matrix for _, p, rho_a in reduced)
-    return operator_deviation(nonselective_state(model, rho), mix)
+def mixture_identity_check(model: MeasurementModel, evaluated) -> float:
+    """Worst deviation of rho' from sum_a P(a) rho_a over `evaluated` = reductions(model, states),
+    with rho' from `nonselective_states` on the same states."""
+    after = nonselective_states(model, [rho for rho, _ in evaluated])
+    return max_abs([operator_deviation(rho_p, sum(p * rho_a.matrix for _, p, rho_a in reduced))
+                    for rho_p, (_, reduced) in zip(after, evaluated)])
 
 
 def satisfies_projection_postulate(model: MeasurementModel, tol: float = TOL_OP) -> bool:

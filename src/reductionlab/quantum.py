@@ -4,7 +4,10 @@ and unitary evolution.
 An outcome is named by its label, a clustered eigenvalue; `outcome_index`
 is the one rule that matches a queried label to an outcome.  A state is
 its matrix alone: the tensor factors of a composite state are those of
-the observables measured on it.
+the observables measured on it.  `density_operators` is the one judge of
+a state, on a stack of matrices in one batched call; `DensityOperator(m)`
+is that judge on a stack of one, and `conditional_state` conditions and
+judges a stack.
 """
 
 from __future__ import annotations
@@ -68,18 +71,11 @@ class Observable:
 
 
 class DensityOperator:
-    """Positive unit-trace operator."""
+    """Positive unit-trace operator: `density_operators` on a stack of one."""
 
     def __init__(self, matrix):
         m = as_matrix(matrix)
-        if not is_hermitian(m):
-            raise ValidationError("density operator must be Hermitian")
-        lo = float(np.min(np.linalg.eigvalsh(m)))
-        if lo < -TOL_OP:
-            raise ValidationError(f"density operator has negative eigenvalue {lo}")
-        tr = float(np.trace(m).real)
-        if abs(tr - 1.0) > TOL_PROB:
-            raise ValidationError(f"density operator trace is {tr}, expected 1")
+        _judge(m[None])
         self.matrix = m
 
     @property
@@ -87,12 +83,51 @@ class DensityOperator:
         return self.matrix.shape[0]
 
 
-def conditional_state(num: np.ndarray, a: float) -> DensityOperator:
-    """num / Tr num, the state conditioned on outcome `a`; refused when Tr num <= TOL_PROB."""
-    p = float(np.trace(num).real)
-    if p <= TOL_PROB:
-        raise ZeroProbabilityError(f"outcome {a} has probability {p}; reduced state undefined")
-    return DensityOperator(num / p)
+def _judge(stack: np.ndarray) -> None:
+    """Raise the ValidationError that judging the matrices of `stack` (n, d, d) one by one
+    would raise first: hermiticity at each matrix's own scale, then least eigenvalue, then trace.
+
+    Only the matrices before the first non-Hermitian one reach the one batched `eigvalsh`,
+    so a NaN or infinite matrix, which is never Hermitian, does not.
+    """
+    dev = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2)).tolist()
+    n = next((i for i, x in enumerate(dev) if not within_rounding(x, TOL_OP, stack[i])), len(dev))
+    judged = stack[:n]
+    lows = np.linalg.eigvalsh(judged).min(axis=1).tolist()
+    for lo, tr in zip(lows, judged.trace(axis1=1, axis2=2).real.tolist()):
+        if lo < -TOL_OP:
+            raise ValidationError(f"density operator has negative eigenvalue {lo}")
+        if abs(tr - 1.0) > TOL_PROB:
+            raise ValidationError(f"density operator trace is {tr}, expected 1")
+    if n < len(dev):
+        raise ValidationError("density operator must be Hermitian")
+
+
+def density_operators(stack) -> list[DensityOperator]:
+    """The one judge of "is a density operator", on a stack (n, d, d) in one batched call:
+    each matrix as a DensityOperator, or the refusal of the first that is none (`_judge`)."""
+    stack = np.asarray(stack, dtype=complex)
+    _judge(stack)
+    out = [object.__new__(DensityOperator) for _ in stack]
+    for rho, m in zip(out, stack):
+        rho.matrix = m
+    return out
+
+
+def conditional_state(nums: np.ndarray, a: float) -> list[DensityOperator]:
+    """nums[i] / Tr nums[i] for a stack (n, d, d) of numerators of outcome `a`, judged at once.
+
+    Refused as conditioning them one by one would refuse: the first numerator
+    with Tr <= TOL_PROB raises ZeroProbabilityError unless one before it fails
+    the judge.
+    """
+    p = nums.trace(axis1=1, axis2=2).real
+    z = next((i for i, pi in enumerate(p.tolist()) if pi <= TOL_PROB), len(p))
+    states = density_operators(nums[:z] / p[:z, None, None])
+    if z < len(p):
+        raise ZeroProbabilityError(
+            f"outcome {a} has probability {float(p[z])}; reduced state undefined")
+    return states
 
 
 class Distribution:
@@ -188,9 +223,8 @@ def spanning_states(dim: int) -> list[DensityOperator]:
     """dim^2 states whose span is all Hermitian matrices: |e_j><e_j| for each j, then
     |v><v| / 2 for v = e_j + e_k and v = e_j + i e_k, for each j < k."""
     e = np.eye(dim, dtype=complex)
-    out = [DensityOperator(np.outer(e[j], e[j])) for j in range(dim)]
+    out = [np.outer(e[j], e[j]) for j in range(dim)]
     for j in range(dim):
         for k in range(j + 1, dim):
-            out += [DensityOperator(np.outer(v, v.conj()) / 2)
-                    for v in (e[j] + e[k], e[j] + 1j * e[k])]
-    return out
+            out += [np.outer(v, v.conj()) / 2 for v in (e[j] + e[k], e[j] + 1j * e[k])]
+    return density_operators(out)

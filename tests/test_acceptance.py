@@ -64,8 +64,7 @@ def _verify_check(name: str, label: str, states):
     """Run the verify check `name` on every zoo model, each with its `states(dim)`
     reduced, and judge the worst deviation at the check's own tolerance kind."""
     check = next(c for c in checks.VERIFY_CHECKS if c.name == name)
-    worst = max_abs([check.fn(model, [(rho, reductions(model, rho))
-                                      for rho in states(model.object_dim)])
+    worst = max_abs([check.fn(model, reductions(model, states(model.object_dim)))
                      for model in ZOO])
     _report(label, worst, check.report(worst, TOL_OP).tolerance)
 

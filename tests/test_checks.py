@@ -32,8 +32,9 @@ def scaled_first_effect(model):
     return [(a, 1.01 * eff)] + rest
 
 
-def squared_probabilities(model, rho):
-    return [(a, p * p, rho_a) for a, p, rho_a in measurement.reductions(model, rho)]
+def squared_probabilities(model, states):
+    return [(rho, [(a, p * p, rho_a) for a, p, rho_a in reduced])
+            for rho, reduced in measurement.reductions(model, states)]
 
 
 def shifted_oracle(scenario, model):
@@ -52,10 +53,10 @@ def prior_as_posteriors(scenario, joint):
     return [(a, p, prior) for a, p, _ in bayes.posteriors(scenario, joint)]
 
 
-def lueders_reduction(model, rho, a):
+def lueders_reductions(model, states, a):
     proj = model.measured.projection(a)
-    num = proj @ rho.matrix @ proj
-    return DensityOperator(num / np.trace(num).real)
+    nums = [proj @ rho.matrix @ proj for rho in states]
+    return [DensityOperator(num / np.trace(num).real) for num in nums]
 
 
 # check name: (run, (object, attribute, replacement) that makes the check fail).
@@ -67,8 +68,9 @@ FAULTS = {
     "povm": (sweep, (checks, "effects", scaled_first_effect)),
     "statistics": (verify(CNOT), (CNOT, "measured", Observable(PAULI_X))),
     "reduction_equivalence": (
-        verify(SWAP), (checks, "state_reduction_sandwiched", lueders_reduction)),
-    "mixture_identity": (sweep, (measurement, "nonselective_state", lambda model, rho: rho)),
+        verify(SWAP), (checks, "state_reduction_sandwiched", lueders_reductions)),
+    "mixture_identity": (sweep, (measurement, "nonselective_states",
+                                 lambda model, states: list(states))),
     "affinity": (sweep, (checks, "reductions", squared_probabilities)),
     "local_measurement_theorem": (sweep, (checks, "joint_distribution_oracle", shifted_oracle)),
     "bayes_mixture": (sweep, (checks, "posteriors", maximally_mixed_posteriors)),

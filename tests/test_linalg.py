@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from reductionlab import linalg
 from reductionlab.errors import DimensionMismatchError, ValidationError
 from reductionlab.linalg import (
     TOL_OP,
@@ -168,6 +169,22 @@ class TestSpectralDecompose:
             for j, (_, q) in enumerate(spec):
                 if i != j:
                     assert max_abs(p @ q) < TOL_OP
+
+    def test_reads_the_scale_once(self, monkeypatch):
+        # twelve distinct eigenvalues, so eleven gaps over TOL_EIG: the spectrum's scale
+        # max|w| is read once for all of them, not once per cluster boundary
+        w = np.arange(1.0, 13.0)
+        reads = []
+
+        def counted(m):
+            if np.size(m) == w.size:
+                reads.append(np.asarray(m).copy())
+            return max_abs(m)
+
+        monkeypatch.setattr(linalg, "max_abs", counted)
+        spec = spectral_decompose(np.diag(w))
+        assert [a for a, _ in spec] == list(w)
+        assert len(reads) == 1 and np.array_equal(reads[0], w)
 
     def test_clustering_merges_near_degenerate(self):
         spec = spectral_decompose(np.diag([0.0, 1e-9, 1.0]))

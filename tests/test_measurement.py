@@ -14,6 +14,7 @@ from reductionlab.measurement import (
     effects,
     mixture_identity_check,
     nonselective_state,
+    nonselective_states,
     outcome_probability,
     reductions,
     satisfies_projection_postulate,
@@ -182,7 +183,7 @@ class TestStateReduction:
                 if dist.probability(a) > TOL_PROB:
                     dev = operator_deviation(
                         state_reduction(model, rho, a),
-                        state_reduction_sandwiched(model, rho, a))
+                        state_reduction_sandwiched(model, [rho], a)[0])
                     assert dev < TOL_OP
 
     def test_affinity_of_unnormalized_map(self):
@@ -257,7 +258,7 @@ class TestOutcomeLabels:
         model = controlled_shift_model(obs)
         for _ in range(3):
             rho = random_density(rng, d)
-            assert mixture_identity_check(model, rho, reductions(model, rho)) <= TOL_OP
+            assert mixture_identity_check(model, reductions(model, [rho])) <= TOL_OP
 
 
 def _weighted_pure(rng, bases, w):
@@ -282,7 +283,7 @@ class TestConditionalState:
 
     @pytest.mark.parametrize("condition", [
         lambda: state_reduction(CNOT, pure(KET_0), -1.0),
-        lambda: state_reduction_sandwiched(CNOT, pure(KET_0), -1.0),
+        lambda: state_reduction_sandwiched(CNOT, [pure(KET_0)], -1.0),
         lambda: posterior_state(EntangledScenario(
             DensityOperator(tensor(pure(KET_0).matrix, identity(2) / 2)),
             Observable(PAULI_Z), Observable(PAULI_Z)), -1.0),
@@ -297,7 +298,7 @@ class TestConditionalState:
     def test_reduction_of_a_small_weight(self, seed):
         model = random_indirect_model(seed, 3, 4)  # Lueders: rho_0 is the state's part in E^A(0)
         rho, v0 = _weighted_pure(np.random.default_rng(100 + seed), model.measured.bases, WEIGHT)
-        a, _, rho_a = reductions(model, rho)[0]
+        a, _, rho_a = reductions(model, [rho])[0][1][0]
         assert a == model.outcomes()[0]
         assert operator_deviation(rho_a, np.outer(v0, v0.conj())) <= REFERENCE_BOUND
 
@@ -321,18 +322,18 @@ class TestConditionalState:
 class TestMixtureIdentity:
     def test_cnot_plus(self):
         rho = pure(KET_PLUS)
-        assert mixture_identity_check(CNOT, rho, reductions(CNOT, rho)) < 1e-10
+        assert mixture_identity_check(CNOT, reductions(CNOT, [rho])) < 1e-10
 
     def test_identity_model_trivial(self):
         rho = random_density(RNG, 2)
         model = identity_model()
-        assert mixture_identity_check(model, rho, reductions(model, rho)) < 1e-12
+        assert mixture_identity_check(model, reductions(model, [rho])) < 1e-12
 
     def test_random_models_and_states(self):
         for i in range(50):
             model = random_indirect_model(100 + i, 2 + i % 2, 3)
             rho = random_density(RNG, model.object_dim)
-            assert mixture_identity_check(model, rho, reductions(model, rho)) < 1e-9
+            assert mixture_identity_check(model, reductions(model, [rho])) < 1e-9
 
 
 class TestReductions:
@@ -350,7 +351,7 @@ class TestReductions:
         proj = model.measured.spectrum[0][1]
         inside = proj @ full @ proj
         rho = DensityOperator((1 - spread) * inside / np.trace(inside).real + spread * full)
-        reduced = reductions(model, rho)
+        reduced = reductions(model, [rho])[0][1]
         weights = {a: float(np.trace(eff @ rho.matrix).real) for a, eff in effects(model)}
         kept = {a: p for a, p, _ in reduced}
         dropped = {a: p for a, p in weights.items() if a not in kept}
@@ -360,32 +361,80 @@ class TestReductions:
         for _, _, rho_a in reduced:
             assert max_abs(rho_a.matrix - dagger(rho_a.matrix)) <= TOL_OP
             assert abs(np.trace(rho_a.matrix) - 1.0) <= TOL_OP
-        assert mixture_identity_check(model, rho, reduced) <= TOL_OP
+        assert mixture_identity_check(model, [(rho, reduced)]) <= TOL_OP
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 6), extra=st.integers(0, 2),
+           swap=st.booleans(), m=st.integers(1, 8))
+    def test_stack_is_bit_identical_to_one_state(self, seed, d, extra, swap, m):
+        """The stacked paths give exactly the per-state answers, so `--json` cannot move."""
+        rng = np.random.default_rng(seed)
+        if swap:  # a full-rank sigma: every pointer column counts
+            model = swap_replace_model(random_density(rng, d), random_observable(rng, d))
+        else:
+            model = random_indirect_model(seed, d, d + extra)
+        states = [random_density(rng, d) for _ in range(m)] + spanning_states(d)[:2]
+        evaluated = reductions(model, states)
+        assert [rho for rho, _ in evaluated] == states
+        for rho, reduced in evaluated:
+            kept = {a: p for a, p in outcome_probability(model, rho).entries.items()
+                    if p > TOL_PROB}
+            assert {a: p for a, p, _ in reduced} == kept
+            for a, _, rho_a in reduced:
+                assert np.array_equal(rho_a.matrix, state_reduction(model, rho, a).matrix)
+                basis = model.probe.bases[outcome_index(model.outcomes(), a)]
+                num = measurement._apply(model._kraus(basis), rho.matrix)  # the 2-d products
+                assert np.array_equal(rho_a.matrix, num / float(np.trace(num).real))
+        after = nonselective_states(model, states)
+        for rho, rho_p in zip(states, after):
+            assert np.array_equal(rho_p.matrix, nonselective_state(model, rho).matrix)
+        assert mixture_identity_check(model, evaluated) == max_abs([operator_deviation(
+            nonselective_state(model, rho), sum(p * rho_a.matrix for _, p, rho_a in reduced))
+            for rho, reduced in evaluated])
+        for a in model.outcomes():
+            kept = [rho for rho, reduced in evaluated if any(b == a for b, _, _ in reduced)]
+            oracle = state_reduction_sandwiched(model, kept, a)
+            for rho, got in zip(kept, oracle):
+                one, = state_reduction_sandwiched(model, [rho], a)
+                assert np.array_equal(got.matrix, one.matrix)
+
+    @pytest.mark.parametrize("n_states", [1, 36])
+    def test_one_kraus_stack_per_outcome(self, monkeypatch, n_states):
+        model = swap_replace_model(random_density(np.random.default_rng(5), 6),
+                                   random_observable(np.random.default_rng(6), 6))
+        states = spanning_states(6)[:n_states]
+        effects(model)  # built once per model, before the count
+        built = []
+        kraus = MeasurementModel._kraus
+
+        def counted(self, basis=None):
+            built.append(basis)
+            return kraus(self, basis)
+
+        monkeypatch.setattr(MeasurementModel, "_kraus", counted)
+        reductions(model, states)
+        assert len(built) == len(model.outcomes())
+        assert all(b is basis for b, basis in zip(built, model.probe.bases))
 
     def test_verify_and_sweep_reduce_each_state_once(self, monkeypatch):
         calls = []
 
-        def counted(model, rho, a):
-            calls.append((model, rho, a))
-            return state_reduction(model, rho, a)
+        def counted(model, states):
+            calls.append(list(states))
+            return reductions(model, states)
 
-        def check_calls(n_states):
-            """One call per (state, outcome with P(a) > TOL_PROB) over n_states states."""
-            model = calls[0][0]
-            states = {id(rho): rho for _, rho, _ in calls}
-            expected = sorted((id(rho), a) for rho in states.values()
-                              for a, p in outcome_probability(model, rho).entries.items()
-                              if p > TOL_PROB)
-            assert len(states) == n_states
-            assert sorted((id(rho), a) for _, rho, a in calls) == expected
+        def check_calls(*sizes):
+            """One `reductions` call per list of states, of the given sizes; no state twice."""
+            assert [len(states) for states in calls] == list(sizes)
+            assert len({id(rho) for states in calls for rho in states}) == sum(sizes)
             calls.clear()
 
-        monkeypatch.setattr(measurement, "state_reduction", counted)
+        monkeypatch.setattr(checks, "reductions", counted)
         for model in standard_models().values():
             checks.verify(model, TOL_OP)
             check_calls(model.object_dim ** 2)
         checks._trial(3, 2, 3)
-        check_calls(10 + 1)  # ten random states and the affinity check's mixture
+        check_calls(10, 1)  # ten random states, then the affinity check's mixture
 
 
 DEGENERATE_SHIFT = controlled_shift_model(Observable(np.diag([0.0, 0.0, 1.0])))
@@ -545,11 +594,11 @@ class TestSandwichedOracle:
         for rho in _oracle_states(model):
             for a, (num, p) in literal_sandwich(model, rho).items():
                 if p > TOL_PROB:
-                    got = state_reduction_sandwiched(model, rho, a).matrix
+                    got = state_reduction_sandwiched(model, [rho], a)[0].matrix
                     assert max_abs(got - num / p) <= 1e-12
                 else:
                     with pytest.raises(ZeroProbabilityError):
-                        state_reduction_sandwiched(model, rho, a)
+                        state_reduction_sandwiched(model, [rho], a)
 
     def test_never_forms_the_composite_state(self, monkeypatch):
         models = [random_indirect_model(3, 3, 4), _swap_full_rank(),
@@ -560,12 +609,12 @@ class TestSandwichedOracle:
         for model, rho, ref in cases:
             for a, (num, p) in ref.items():
                 if p > TOL_PROB:
-                    got = state_reduction_sandwiched(model, rho, a).matrix
+                    got = state_reduction_sandwiched(model, [rho], a)[0].matrix
                     assert max_abs(got - num / p) <= 1e-12
 
     def test_refuses_a_state_of_the_wrong_dimension(self):
         with pytest.raises(DimensionMismatchError):
-            state_reduction_sandwiched(CNOT, DensityOperator(identity(3) / 3), 1.0)
+            state_reduction_sandwiched(CNOT, [DensityOperator(identity(3) / 3)], 1.0)
 
 
 class TestKrausAgainstComposite:

@@ -1,9 +1,13 @@
+import itertools
+import re
+
 import numpy as np
 import pytest
 
 from reductionlab.errors import (
     DimensionMismatchError,
     ValidationError,
+    ZeroProbabilityError,
 )
 from reductionlab.linalg import TOL_OP, dagger, identity, max_abs, partial_trace, tensor
 from reductionlab.quantum import (
@@ -11,6 +15,8 @@ from reductionlab.quantum import (
     Observable,
     OutcomeDistribution,
     born_distribution,
+    conditional_state,
+    density_operators,
     evolve,
     operator_deviation,
     pure,
@@ -186,6 +192,57 @@ class TestReducedState:
         lhs = partial_trace(evolve(rho, h12, 0.6).matrix, (2, 3), [0])
         rhs = evolve(DensityOperator(partial_trace(rho.matrix, (2, 3), [0])), h1, 0.6)
         assert operator_deviation(lhs, rhs) < TOL_OP
+
+
+def _bad_matrices():
+    """One 3 x 3 matrix per way of failing to be a density operator."""
+    good = np.diag([0.5, 0.3, 0.2]).astype(complex)
+    skew = good.copy()
+    skew[0, 1] = 1e-6
+    nan = good.copy()
+    nan[1, 2] = np.nan
+    return {"non_hermitian": skew,
+            "negative": np.diag([0.5 + 2e-9, 0.5, -2e-9]).astype(complex),
+            "trace": np.diag([0.5 + 2e-10, 0.3, 0.2]).astype(complex),
+            "nan": nan}
+
+
+BAD = _bad_matrices()
+
+
+class TestStackJudge:
+    """`density_operators` refuses a stack as judging its matrices one by one refuses."""
+
+    @pytest.mark.parametrize("first,second", list(itertools.permutations(BAD, 2)))
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_refuses_as_the_first_bad_matrix(self, monkeypatch, first, second, where):
+        with pytest.raises(ValidationError) as one:
+            DensityOperator(BAD[first])
+        goods = [random_density(RNG, 3).matrix for _ in range(2)]
+        stack = goods[:where] + [BAD[first]] + goods[where:] + [BAD[second]]
+        eigvalsh = np.linalg.eigvalsh
+
+        def finite_only(a):
+            assert np.isfinite(a).all()
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", finite_only)
+        with pytest.raises(ValidationError, match="^" + re.escape(str(one.value)) + "$"):
+            density_operators(np.array(stack))
+
+    def test_empty_and_valid_stacks(self):
+        assert density_operators(np.zeros((0, 3, 3), dtype=complex)) == []
+        mats = [random_density(RNG, 3).matrix for _ in range(4)]
+        states = density_operators(np.array(mats))
+        assert all(np.array_equal(s.matrix, m) for s, m in zip(states, mats))
+
+    @pytest.mark.parametrize("bad_first", [True, False])
+    def test_conditioning_refuses_in_stack_order(self, bad_first):
+        zero = np.zeros((3, 3), dtype=complex)
+        nums = [BAD["non_hermitian"], zero] if bad_first else [zero, BAD["non_hermitian"]]
+        error = ValidationError if bad_first else ZeroProbabilityError
+        with pytest.raises(error):
+            conditional_state(np.array(nums), 1.0)
 
 
 class TestSpanningStates:

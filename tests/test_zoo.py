@@ -124,8 +124,7 @@ class TestRandomIndirect:
         for seed in range(5):
             model = random_indirect_model(50 + seed, 3, 3)
             rho = random_density(RNG, 3)
-            reduced = reductions(model, rho)
-            assert mixture_identity_check(model, rho, reduced) < 1e-9
+            assert mixture_identity_check(model, reductions(model, [rho])) < 1e-9
 
     def test_seed_determinism(self):
         a = random_indirect_model(1234, 3, 4)

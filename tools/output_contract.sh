@@ -5,11 +5,12 @@
 #   tools/output_contract.sh OUTDIR
 #
 # OUTDIR/inputs holds the exported zoo, the CNOT model with an object
-# Hamiltonian, the seeded random model with A and B times 1e8, the
-# Bell/CNOT scenario, the Bell scenario without an apparatus, a variant of
-# each (an apparatus whose A is 1e-12 off the scenario's, also with the
-# scenario's A and the apparatus's A and B times 1e8; a pair phase that
-# overflows with no apparatus to form it), two scenarios with free
+# Hamiltonian, the seeded random model with A and B times 1e8, a swap-replace
+# model at d = 6 with a full-rank sigma, the Bell/CNOT scenario, the Bell
+# scenario without an apparatus, a variant of each (an apparatus whose A is
+# 1e-12 off the scenario's, also with the scenario's A and the apparatus's A
+# and B times 1e8; a pair phase that overflows with no apparatus to form
+# it), two scenarios with free
 # evolution (one with a full-rank apparatus state sigma), a scenario in
 # which one outcome of A has probability 0, and OUTDIR/NAME.out, NAME.err
 # and NAME.code each command's results.  Two checkouts give the same answers
@@ -146,6 +147,26 @@ with open(sys.argv[1], "w", encoding="utf-8") as fh:
     fh.write("\n")
 EOF
 
+# swap_replace_6.json: a swap-replace model at d = 6 whose sigma is a seeded
+# full-rank state, so that `verify` reduces its 36 states through Kraus stacks
+# with six pointer columns
+python3 - "$out/inputs/swap_replace_6.json" <<'EOF'
+import json
+import sys
+
+import numpy as np
+
+from reductionlab.modelio import model_to_dict
+from reductionlab.quantum import random_density
+from reductionlab.zoo import random_observable, swap_replace_model
+
+rng = np.random.default_rng(14)
+model = swap_replace_model(random_density(rng, 6), random_observable(rng, 6))
+with open(sys.argv[1], "w", encoding="utf-8") as fh:
+    json.dump(model_to_dict(model), fh, indent=1)
+    fh.write("\n")
+EOF
+
 run() {
     name=$1
     shift
@@ -160,6 +181,7 @@ for model in cnot swap_replace controlled_shift controlled_shift_degenerate rand
 done
 run verify-cnot-hamiltonian verify "$out/inputs/cnot_hamiltonian.json" --json
 run verify-scaled verify "$out/inputs/random_indirect_scaled.json" --json
+run verify-swap-6 verify "$out/inputs/swap_replace_6.json" --json
 run sweep-42 sweep --json --seed 42 --trials 30 --dims 2..4
 run sweep-7 sweep --json --seed 7 --trials 2 --dims 6,8
 run entangled-json entangled "$out/inputs/bell.json" --json
