@@ -163,8 +163,9 @@ def joint_distribution_oracle(s: EntangledScenario, model: MeasurementModel) -> 
     rho12 is used as given, so the result is linear in it; no operator on
     H1 (x) HA (x) H2 is ever formed.
     """
-    if (not within_rounding(operator_deviation(model.measured.matrix, s.a_obs.matrix), TOL_OP,
-                            s.a_obs.matrix) or len(model.outcomes()) != len(s.a_obs.eigenvalues)):
+    half = operator_deviation(model.measured.matrix / 2, s.a_obs.matrix / 2)  # exact, finite
+    if not (within_rounding(half, TOL_OP / 2, s.a_obs.matrix)
+            and len(model.outcomes()) == len(s.a_obs.eigenvalues)):
         raise ValidationError("apparatus model does not target the scenario's observable")
     dev = verify_measures(model)
     if not within_rounding(dev, TOL_OP):  # also refuses a NaN deviation
@@ -176,6 +177,8 @@ def joint_distribution_oracle(s: EntangledScenario, model: MeasurementModel) -> 
     da = model.apparatus_dim
     n12, n2a = d1 * d2, d2 * da
     w, v = np.linalg.eigh(tensor(s.h1, identity(d2)) + tensor(identity(d1), s.h2))
+    if not np.isfinite(w).all():  # eigh overflows near the float limit
+        raise ValidationError(f"h1 + h2: hamiltonian has a non-finite eigenvalue: {w}")
     u = spectral_expm(w, v, s.t)
     rho = u @ s.rho12.matrix @ dagger(u)
     # U (1 (x) |p_l>): k[i, b, j, l] = sum_b' U[(i, b), (j, b')] p_l[b']

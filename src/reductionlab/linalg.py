@@ -3,7 +3,8 @@
 Kronecker products, partial traces, tensor-factor permutations,
 Hermitian matrix exponentials, and spectral decomposition with
 eigenvalue clustering.  Everything here is a pure function of
-immutable numpy arrays.
+immutable numpy arrays.  Finite input near the float limit is judged
+without a numpy warning, and a finite spectrum keeps finite labels.
 """
 
 from __future__ import annotations
@@ -59,12 +60,13 @@ def within_rounding(deviation, tol: float, scale=None):
 
 def is_hermitian(m) -> bool:
     a = as_matrix(m)
-    return within_rounding(max_abs(a - dagger(a)), TOL_OP, a)
+    h = a / 2  # exact: half the deviation, judged at half the tolerance, stays finite
+    return within_rounding(max_abs(h - dagger(h)), TOL_OP / 2, a)
 
 
 def is_unitary(m) -> bool:
-    a = as_matrix(m)
-    return within_rounding(max_abs(a @ dagger(a) - identity(a.shape[0])), TOL_OP)
+    a = as_matrix(m)  # an entry above 1 in size already fails; one above 2 is refused unmultiplied
+    return max_abs(a) <= 2 and within_rounding(max_abs(a @ dagger(a) - identity(len(a))), TOL_OP)
 
 
 def tensor(*factors) -> np.ndarray:
@@ -138,13 +140,19 @@ def spectral_expm(w, v, tau: float) -> np.ndarray:
 def spectral_decompose(a) -> list[tuple[float, np.ndarray]]:
     """Eigenvalues (clustered while gaps are within TOL_EIG at max|w|, ascending) and eigenbases.
 
-    Each cluster is represented by the mean of its members and by its
-    eigenvectors, as the orthonormal columns of a block b; the spectral
-    projection is b @ dagger(b).
+    Each cluster is represented by the mean of its members and by its eigenvectors, as the
+    orthonormal columns of a block b; the spectral projection is b @ dagger(b).  An eigenvalue
+    that overflows in `eigh` is refused; finite ones keep finite labels.
     """
     m = as_matrix(a)
     if not is_hermitian(m):
         raise ValidationError("spectral_decompose requires a Hermitian matrix")
     w, v = np.linalg.eigh(m)
-    cuts = [0, *(np.flatnonzero(~within_rounding(np.diff(w), TOL_EIG, w)) + 1), len(w)]
-    return [(float(np.mean(w[i:j])), v[:, i:j]) for i, j in zip(cuts, cuts[1:]) if i < j]
+    if not np.isfinite(w).all():  # eigh overflows near the float limit
+        raise ValidationError(f"observable has a non-finite eigenvalue: {w.tolist()}")
+    # halved gaps at half the tolerance stay finite and cut where the gaps cut; where the sum
+    # of a cluster may overflow (w ascends: max|w| is at an end), its mean is summed from c / n
+    cuts = [0, *(np.flatnonzero(~within_rounding(np.diff(w / 2), TOL_EIG / 2, w)) + 1), len(w)]
+    big = w.size and max(-w[0], w[-1]) >= 1e308 / w.size
+    mean = (lambda c: np.sum(c / len(c))) if big else np.mean
+    return [(float(mean(w[i:j])), v[:, i:j]) for i, j in zip(cuts, cuts[1:]) if i < j]

@@ -36,13 +36,15 @@ their Choi matrices are, so the test compares, for every outcome,
 J_a = sum_n vec(M_an) vec(M_an)^dag with vec(E^A(a)) vec(E^A(a))^dag in the
 max-entry norm at the operator tolerance: no seed and no set of states.
 
-I_a is linear in rho, so `reductions(model, states)` reduces a list of
-states as one stack R (m, d, d) with one Kraus stack per outcome: the
-products above take R in place of rho, and yield (a, P(a), rho_a) for
-each state and each outcome with P(a) > TOL_PROB.  `state_reduction` and
-`nonselective_state` are the one-state case of the same products.  Every
+I_a is linear in rho, so `reductions(model, states)` reduces a list of states
+as one stack R (m, d, d): P(a) is the one Born product `quantum.distributions`
+of the effects on R, and the products above take R in place of rho with one
+Kraus stack per outcome, yielding (a, P(a), rho_a) for each state and each
+outcome with P(a) > TOL_PROB.  `outcome_probability`, `state_reduction` and
+`nonselective_state` are its stack of one; `statistics_deviation` calls
+`distributions` twice on a stack, on the effects and on A's projections.  Every
 reduction ends in `quantum.conditional_state`, rho_a = I_a(rho) / Tr I_a(rho),
-which judges a whole stack in one batched call.
+judging a whole stack in one batched call.
 The checks here return deviations; `reductionlab.checks` judges them.
 """
 
@@ -68,9 +70,9 @@ from .quantum import (
     DensityOperator,
     Observable,
     OutcomeDistribution,
-    born_distribution,
     conditional_state,
     density_operators,
+    distributions,
     operator_deviation,
     outcome_index,
 )
@@ -104,7 +106,8 @@ class MeasurementModel:
                 f"measured dim {measured.dim} != object dim {self.object_dim}"
             )
         ea, eb = measured.eigenvalues, probe.eigenvalues
-        if len(ea) != len(eb) or not within_rounding(max_abs(np.subtract(ea, eb)), TOL_EIG, ea):
+        gap = max(abs(x - y) for x, y in zip(ea, eb))  # in Python floats: inf, never a warning
+        if len(ea) != len(eb) or not within_rounding(gap, TOL_EIG, ea):
             raise ValidationError(
                 f"probe spectrum {eb} does not match measured spectrum {ea}"
             )
@@ -165,16 +168,9 @@ class MeasurementModel:
         # v[i, k, j, l] -> V[i, (k, l), j]
         return v.reshape(d, k, d, -1).transpose(0, 1, 3, 2).reshape(d, -1, d)
 
-    def _check_state(self, rho: DensityOperator):
-        if rho.dim != self.object_dim:
-            raise DimensionMismatchError(
-                f"state dim {rho.dim} != object dim {self.object_dim}"
-            )
-
     def composite_after(self, rho: DensityOperator) -> np.ndarray:
         """U (rho (x) sigma) U-dagger on the composite space."""
-        self._check_state(rho)
-        return self.u @ tensor(rho.matrix, self.sigma.matrix) @ dagger(self.u)
+        return self.u @ tensor(_stack(self, [rho])[0], self.sigma.matrix) @ dagger(self.u)
 
 
 def _apply(kraus: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -186,9 +182,10 @@ def _apply(kraus: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 def _stack(model: MeasurementModel, states) -> np.ndarray:
     """The states' matrices as one stack (m, d, d), each checked against the object dim."""
-    for rho in states:
-        model._check_state(rho)
     d = model.object_dim
+    for rho in states:
+        if rho.dim != d:
+            raise DimensionMismatchError(f"state dim {rho.dim} != object dim {d}")
     return np.array([rho.matrix for rho in states]).reshape(-1, d, d)
 
 
@@ -200,15 +197,13 @@ def effects(model: MeasurementModel) -> list[tuple[float, np.ndarray]]:
 
 def verify_measures(model: MeasurementModel) -> float:
     """Worst max-entry deviation of effect(a) from E^A(a): the measuring condition."""
-    return max_abs([max_abs(eff - model.measured.projection(a)) for a, eff in effects(model)])
+    return max_abs([max_abs(eff - proj)
+                    for (_, eff), (_, proj) in zip(effects(model), model.measured.spectrum)])
 
 
 def outcome_probability(model: MeasurementModel, rho: DensityOperator) -> OutcomeDistribution:
-    """P(a) = Tr[effect(a) rho], the probability of reading E^B(a) on the probe."""
-    model._check_state(rho)
-    return OutcomeDistribution(
-        {a: float(np.trace(eff @ rho.matrix).real) for a, eff in model._effects}
-    )
+    """P(a) = Tr[effect(a) rho] of reading E^B(a) on the probe: `distributions` of one state."""
+    return distributions(model._effects, _stack(model, [rho]))[0]
 
 
 def nonselective_states(model: MeasurementModel, states) -> list[DensityOperator]:
@@ -218,17 +213,15 @@ def nonselective_states(model: MeasurementModel, states) -> list[DensityOperator
 
 
 def nonselective_state(model: MeasurementModel, rho: DensityOperator) -> DensityOperator:
-    """rho' of one state: the products of `nonselective_states` on a stack of one."""
-    model._check_state(rho)
-    return density_operators(_apply(model._kraus(), rho.matrix[None]))[0]
+    """rho' of one state: `nonselective_states` on a stack of one."""
+    return nonselective_states(model, [rho])[0]
 
 
 def state_reduction(model: MeasurementModel, rho: DensityOperator, a: float) -> DensityOperator:
     """rho_a = I_a(rho) / P(a) = sum_{k,l} M_akl rho M_akl^dag / P(a): the one-state case of
     `reductions`."""
-    model._check_state(rho)
     basis = model.probe.bases[outcome_index(model.outcomes(), a)]
-    return conditional_state(_apply(model._kraus(basis), rho.matrix[None]), a)[0]
+    return conditional_state(_apply(model._kraus(basis), _stack(model, [rho])), a)[0]
 
 
 def state_reduction_sandwiched(model: MeasurementModel, states, a: float) -> list[DensityOperator]:
@@ -260,17 +253,15 @@ def reductions(model: MeasurementModel, states) -> list[tuple[DensityOperator, l
     in outcome order.
 
     The states are reduced as one stack R (m, d, d), outcome by outcome: P(a)
-    from effect(a) @ R, I_a(R) through one Kraus stack, and one
-    `conditional_state` call on the states that keep a.  Every state's
-    distribution is validated first; a refusal then names the first state, in
-    the given order, of the first outcome that refuses.
+    from `quantum.distributions` of the effects on R, I_a(R) through one Kraus
+    stack, and one `conditional_state` call on the states that keep a.  Every
+    state's distribution is validated first; a refusal then names the first
+    state, in the given order, of the first outcome that refuses.
     """
     r = _stack(model, states)
-    probs = np.array([np.trace(eff @ r, axis1=1, axis2=2).real for _, eff in model._effects])
-    for col in probs.T:  # validated as `outcome_probability` validates
-        OutcomeDistribution(dict(zip(model.outcomes(), col.tolist())))
+    probs = np.array([list(dist.entries.values()) for dist in distributions(model._effects, r)])
     reduced = [[] for _ in states]
-    for (a, _), basis, p in zip(model._effects, model.probe.bases, probs):
+    for (a, _), basis, p in zip(model._effects, model.probe.bases, probs.T):
         keep = np.flatnonzero(p > TOL_PROB)
         for i, rho_a in zip(keep, conditional_state(_apply(model._kraus(basis), r[keep]), a)):
             reduced[i].append((a, float(p[i]), rho_a))
@@ -294,15 +285,17 @@ def satisfies_projection_postulate(model: MeasurementModel, tol: float = TOL_OP)
     """
     if not verify_measures(model) <= tol:  # also refuses a NaN deviation
         raise ValidationError("model does not measure its claimed observable")
-    for a, basis in zip(model.outcomes(), model.probe.bases):
+    for basis, (_, proj) in zip(model.probe.bases, model.measured.spectrum):
         vecs = model._kraus(basis).transpose(1, 0, 2).reshape(-1, model.object_dim ** 2)
-        lueders = model.measured.projection(a).reshape(-1)
+        lueders = proj.reshape(-1)
         if not max_abs(vecs.T @ vecs.conj() - np.outer(lueders, lueders.conj())) <= tol:
             return False
     return True
 
 
 def statistics_deviation(model: MeasurementModel, states) -> float:
-    """Worst |outcome_probability - born_distribution(A, rho)| over the given states."""
-    return max_abs([outcome_probability(model, rho).max_deviation(
-        born_distribution(model.measured, rho)) for rho in states])
+    """Worst |Tr[effect(a) rho] - Tr[E^A(a) rho]| over the given states: `quantum.distributions`
+    of the effects against that of A's projections, each on the whole stack."""
+    r = _stack(model, states)
+    return max_abs([p.max_deviation(q) for p, q in zip(
+        distributions(model._effects, r), distributions(model.measured.spectrum, r))])

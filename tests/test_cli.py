@@ -319,6 +319,87 @@ class TestExitCodes:
         assert (done.returncode, done.stderr.decode()) == (141, "")
 
 
+def huge_complement(pairs, n):
+    """1e308 (1 - M) of an n x n matrix of [re, im] pairs, by JSON arithmetic."""
+    return [[1e308 * ((k % (n + 1) == 0) - re), -1e308 * im]
+            for k, (re, im) in enumerate(pairs)]
+
+
+def run_warnings_as_errors(argv, capsys) -> tuple[int, str, str]:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(argv)
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+class TestFloatLimit:
+    """Finite input near the float limit: a right answer or a refusal, never a numpy warning."""
+
+    def test_huge_labels_are_legal(self, tmp_path, capsys):
+        doc = model_to_dict(cnot_qubit_model())
+        doc["a_matrix"] = doc["b_matrix"] = [[1e308, 0.0], [0.0, 0.0], [0.0, 0.0], [-1e308, 0.0]]
+        save_json(str(tmp_path / "m.json"), doc)
+        rc, out, err = run_warnings_as_errors(["verify", str(tmp_path / "m.json"), "--json"],
+                                              capsys)
+        assert (rc, err) == (0, "")
+        assert strict_json(out)["classification"] == "projective"
+
+    def test_huge_degenerate_cluster_is_legal(self, tmp_path, capsys):
+        doc = model_to_dict(standard_models()["controlled_shift_degenerate"])
+        doc["a_matrix"] = huge_complement(doc["a_matrix"], 3)
+        doc["b_matrix"] = huge_complement(doc["b_matrix"], 2)
+        save_json(str(tmp_path / "m.json"), doc)
+        rc, out, err = run_warnings_as_errors(["verify", str(tmp_path / "m.json"), "--json"],
+                                              capsys)
+        assert (rc, err) == (0, "")
+        report = strict_json(out)
+        assert report["classification"] == "projective"
+        assert max(c["max_deviation"] for c in report["checks"]) == 0.0
+
+    @pytest.mark.parametrize("field, pairs, message", [
+        ("a_matrix", [[0.0, 0.0], [1e308, 0.0], [-1e308, 0.0], [0.0, 0.0]], "Hermitian"),
+        ("u", [[1e308, 0.0]] * 16, "unitary"),
+        ("sigma", [[1e308, 0.0], [0.0, 0.0], [0.0, 0.0], [1e308, 0.0]], "trace is inf"),
+        ("sigma", [[0.5, 0.0], [1e308, 1e308], [-1e308, 1e308], [0.5, 0.0]], "Hermitian"),
+        ("a_matrix", [[-1.7e308, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], "does not match"),
+    ])
+    def test_illegal_input_is_refused(self, cnot_path, capsys, field, pairs, message):
+        doc = load_json(cnot_path)
+        doc[field] = pairs
+        if field == "a_matrix" and message == "does not match":
+            doc["b_matrix"] = [[1e308, 0.0], [0.0, 0.0], [0.0, 0.0], [1.5e308, 0.0]]
+        save_json(cnot_path, doc)
+        rc, out, err = run_warnings_as_errors(["verify", cnot_path, "--json"], capsys)
+        assert (rc, out) == (4, "")
+        assert message in err
+
+    def test_apparatus_of_the_opposite_observable(self, bell_scenario_path, capsys):
+        # A = diag(1e308, -1e308) against an apparatus built for -A: the deviation 2e308
+        # overflows, and is refused as one
+        doc = load_json(bell_scenario_path)
+        huge = [[1e308, 0.0], [0.0, 0.0], [0.0, 0.0], [-1e308, 0.0]]
+        doc["a_matrix"] = huge
+        doc["apparatus"]["a_matrix"] = doc["apparatus"]["b_matrix"] = huge[::-1]
+        save_json(bell_scenario_path, doc)
+        rc, out, err = run_warnings_as_errors(["entangled", bell_scenario_path, "--json"],
+                                              capsys)
+        assert (rc, out) == (4, "")
+        assert "does not target the scenario's observable" in err
+
+    def test_overflowing_pair_spectrum(self, bell_scenario_path, capsys):
+        # h1's own eigenvalues are finite, and so is its phase at t = tau = 0; the oracle's
+        # pair Hamiltonian h1 (x) 1 + 1 (x) h2 may still overflow in `eigh`, and is then refused
+        doc = load_json(bell_scenario_path)
+        doc["h1"] = [[-1.0, 0.0], [1e200, -1e200], [1e200, 1e200],
+                     [-1.7976931348623157e308, 0.0]]
+        save_json(bell_scenario_path, doc)
+        rc, out, err = run_warnings_as_errors(["entangled", bell_scenario_path, "--json"],
+                                              capsys)
+        assert rc in (0, 4)
+        assert "h1 + h2: hamiltonian has a non-finite eigenvalue" in err if rc else err == ""
+
+
 class TestReduce:
     def test_cnot_plus(self, cnot_path, capsys):
         assert main(["reduce", cnot_path, "--state", "+", "--outcome", "1"]) == 0
@@ -598,8 +679,7 @@ class TestParserFuzz:
         with tempfile.TemporaryDirectory() as tmp:
             file = f"{tmp}/doc.json"
             save_json(file, doc)
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-                    np.errstate(over="ignore", invalid="ignore"):  # entries near the float limit
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 rc = main([command, file, "--json"])
         assert rc in (0, 3, 4, 5), err.getvalue()
         if rc == 0 or out.getvalue():

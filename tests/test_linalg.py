@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from reductionlab import linalg
 from reductionlab.errors import DimensionMismatchError, ValidationError
 from reductionlab.linalg import (
+    TOL_EIG,
     TOL_OP,
     dagger,
     herm_expm,
@@ -15,6 +18,7 @@ from reductionlab.linalg import (
     permute_factors,
     spectral_decompose,
     tensor,
+    within_rounding,
 )
 
 RNG = np.random.default_rng(1234)
@@ -191,3 +195,51 @@ class TestSpectralDecompose:
         assert [b.shape for _, b in spec] == [(3, 2), (3, 1)]
         assert spec[0][0] == pytest.approx(5e-10)
         assert max_abs(spec[0][1] @ dagger(spec[0][1]) - np.diag([1.0, 1.0, 0.0])) < 1e-12
+
+
+class TestFloatLimit:
+    """Finite entries near the float limit: judged without a numpy warning, an overflowed
+    deviation refused, a finite spectrum labelled by finite cluster means."""
+
+    @pytest.fixture(autouse=True)
+    def warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    def test_anti_hermitian_entries_are_not_hermitian(self):
+        assert not is_hermitian(np.array([[0.0, 1e308], [-1e308, 0.0]]))
+        assert is_hermitian(np.array([[1e308, 1e308], [1e308, -1e308]]))
+
+    def test_huge_entries_are_not_unitary(self):
+        assert not is_unitary(np.full((2, 2), 1e308))
+        assert not is_unitary(np.full((3, 3), -1e308 + 1e308j))
+
+    def test_spectrum_of_opposite_extremes(self):
+        spec = spectral_decompose(np.diag([1e308, -1e308]))
+        assert [a for a, _ in spec] == [-1e308, 1e308]
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("huge", [1e308, np.finfo(float).max])
+    def test_cluster_label_is_its_finite_mean(self, n, huge):
+        (low, _), (label, block) = spectral_decompose(np.diag([huge] * n + [0.0]))
+        assert low == 0.0 and block.shape[1] == n
+        assert np.isfinite(label) and label == pytest.approx(huge, rel=1e-15)
+
+    def test_overflowing_spectrum_is_refused(self):
+        with pytest.raises(ValidationError, match="non-finite eigenvalue"):
+            spectral_decompose(np.full((2, 2), 1e308))
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e8, 1e150])
+    def test_clusters_and_labels_as_unhalved(self, scale):
+        """The halved gaps cut where the unhalved ones cut, and labels are plain means."""
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            gaps = rng.choice([0.0, 0.5, 0.99, 1.0, 1.01, 2.0, 1e3], size=7) * TOL_EIG
+            v = np.linalg.qr(random_complex(8))[0]
+            m = (v * (scale * np.cumsum(np.r_[rng.uniform(-1, 1), gaps]))) @ dagger(v)
+            m = (m + dagger(m)) / 2
+            w = np.linalg.eigh(m)[0]
+            cuts = [0, *(np.flatnonzero(~within_rounding(np.diff(w), TOL_EIG, w)) + 1), 8]
+            want = [float(np.mean(w[i:j])) for i, j in zip(cuts, cuts[1:])]
+            assert [a for a, _ in spectral_decompose(m)] == want

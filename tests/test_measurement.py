@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,7 @@ from reductionlab.quantum import (
     Observable,
     OutcomeDistribution,
     born_distribution,
+    distributions,
     operator_deviation,
     outcome_index,
     pure,
@@ -130,6 +133,48 @@ class TestOutcomeProbability:
             dev = outcome_probability(model, rho).max_deviation(
                 born_distribution(model.measured, rho))
             assert dev < TOL_PROB
+
+
+class TestDistributions:
+    """`quantum.distributions` is the one Born product Tr[F(a) rho] of a state stack."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 12), swap=st.booleans(),
+           m=st.integers(1, 40))
+    def test_equals_the_literal_trace_per_state(self, seed, d, swap, m):
+        rng = np.random.default_rng(seed)
+        if swap:  # a full-rank sigma: every pointer column counts
+            model = swap_replace_model(random_density(rng, d), random_observable(rng, d))
+        else:
+            model = random_indirect_model(seed, d, d + 1)
+        states = np.array([random_density(rng, d).matrix for _ in range(m)])
+        for spectrum in (effects(model), model.measured.spectrum):
+            got = distributions(spectrum, states)
+            assert len(got) == m
+            for rho, dist in zip(states, got):
+                assert dist.entries == {a: float(np.trace(f @ rho).real) for a, f in spectrum}
+
+    def test_refuses_the_first_invalid_state(self):
+        proj = Observable(PAULI_Z).spectrum
+        states = np.array([pure(KET_0).matrix, 2 * identity(2), 3 * identity(2)])
+        with pytest.raises(ValidationError, match="out of range"):
+            distributions(proj, states)
+
+    def test_verify_forms_no_one_state_distribution(self, monkeypatch):
+        """`statistics` reads the whole stack: no per-state `outcome_probability` or
+        `born_distribution`, wherever a module holds the name."""
+        calls = []
+        for name in ("outcome_probability", "born_distribution"):
+            for module in [m for k, m in sys.modules.items() if k.startswith("reductionlab")]:
+                fn = getattr(module, name, None)
+                if fn is not None:
+                    monkeypatch.setattr(module, name,
+                                        lambda *args, fn=fn, name=name: calls.append(name)
+                                        or fn(*args))
+        for model in standard_models().values():
+            reports, _ = checks.verify(model, TOL_OP)
+            assert all(r.passed for r in reports)
+        assert calls == []
 
 
 class TestNonselectiveState:

@@ -1,5 +1,6 @@
 import itertools
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -58,6 +59,28 @@ class TestTypes:
     def test_density_rejects_bad_trace(self):
         with pytest.raises(ValidationError):
             DensityOperator(identity(2))
+
+    def test_observable_near_the_float_limit(self):
+        # eigenvalues 0 and 1e308, the latter twice: its label is the finite cluster mean
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert Observable(np.diag([1e308, 1e308, 0.0])).eigenvalues == [0.0, 1e308]
+            with pytest.raises(ValidationError, match="non-finite eigenvalue"):
+                Observable(np.full((2, 2), 1e308))
+
+    @pytest.mark.parametrize("matrix, message", [
+        (np.diag([1e308, 1e308]), "trace is inf"),
+        (np.array([[0.5, 1e308], [-1e308, 0.5]]), "must be Hermitian"),
+        (np.array([[0.5, 1e308j], [1e308j, 0.5]]), "must be Hermitian"),
+    ])
+    def test_density_near_the_float_limit(self, matrix, message):
+        """An overflowed trace or hermiticity deviation refuses, without a numpy warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=message):
+                DensityOperator(matrix)
+            with pytest.raises(ValidationError, match=message):
+                density_operators([identity(2) / 2, matrix])
 
     def test_distribution_rejects_unnormalized(self):
         with pytest.raises(ValidationError):

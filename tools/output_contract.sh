@@ -5,7 +5,10 @@
 #   tools/output_contract.sh OUTDIR
 #
 # OUTDIR/inputs holds the exported zoo, the CNOT model with an object
-# Hamiltonian, the seeded random model with A and B times 1e8, a swap-replace
+# Hamiltonian, the seeded random model with A and B times 1e8, two models
+# with labels near the float limit (CNOT with A = B = diag(1e308, -1e308),
+# the degenerate controlled shift with A and B -> 1e308 (1 - A), 1e308 (1 - B)),
+# a swap-replace
 # model at d = 6 with a full-rank sigma, the Bell/CNOT scenario, the Bell
 # scenario without an apparatus, a variant of each (an apparatus whose A is
 # 1e-12 off the scenario's, also with the scenario's A and the apparatus's A
@@ -27,7 +30,9 @@ python3 -m reductionlab.cli export-zoo "$zoo" > /dev/null
 # The CNOT model with a nonzero Hermitian object_hamiltonian, which model files
 # of format "1" may carry: it is checked when read and changes no answer.
 # random_indirect_scaled.json is random_indirect_42.json with A and B times 1e8,
-# legal operators in large units
+# legal operators in large units; cnot_huge.json and degenerate_huge.json are
+# legal models whose labels lie near the float limit, the latter with a
+# two-fold eigenvalue 1e308 whose cluster mean must stay finite
 python3 - "$zoo" "$out/inputs" <<'EOF'
 import json
 import sys
@@ -43,7 +48,14 @@ cnot["object_hamiltonian"] = [[0.5, 0.0], [0.0, -2.0], [0.0, 2.0], [-1.0, 0.0]]
 model = load("random_indirect_42")
 for field in ("a_matrix", "b_matrix"):
     model[field] = [[1e8 * re, 1e8 * im] for re, im in model[field]]
-for name, doc in (("cnot_hamiltonian", cnot), ("random_indirect_scaled", model)):
+huge = load("cnot")
+huge["a_matrix"] = huge["b_matrix"] = [[1e308, 0.0], [0.0, 0.0], [0.0, 0.0], [-1e308, 0.0]]
+degenerate = load("controlled_shift_degenerate")
+for field, n in (("a_matrix", degenerate["object_dim"]), ("b_matrix", degenerate["apparatus_dim"])):
+    degenerate[field] = [[1e308 * ((k % (n + 1) == 0) - re), -1e308 * im]
+                         for k, (re, im) in enumerate(degenerate[field])]
+for name, doc in (("cnot_hamiltonian", cnot), ("random_indirect_scaled", model),
+                  ("cnot_huge", huge), ("degenerate_huge", degenerate)):
     with open(f"{sys.argv[2]}/{name}.json", "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
@@ -181,6 +193,8 @@ for model in cnot swap_replace controlled_shift controlled_shift_degenerate rand
 done
 run verify-cnot-hamiltonian verify "$out/inputs/cnot_hamiltonian.json" --json
 run verify-scaled verify "$out/inputs/random_indirect_scaled.json" --json
+run verify-huge verify "$out/inputs/cnot_huge.json" --json
+run verify-huge-degenerate verify "$out/inputs/degenerate_huge.json" --json
 run verify-swap-6 verify "$out/inputs/swap_replace_6.json" --json
 run sweep-42 sweep --json --seed 42 --trials 30 --dims 2..4
 run sweep-7 sweep --json --seed 7 --trials 2 --dims 6,8
