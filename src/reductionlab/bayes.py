@@ -14,8 +14,8 @@ Bayes: `prior_state` is the distant subsystem's state rho2(t),
 `posterior_state` conditions it on one outcome of A, and `posteriors` on
 each with nonzero marginal, normalized after evolving by
 `quantum.conditional_state`.  They and the formula evolve the pair only
-through `EntangledScenario.evolution`, and it and the oracle form
-e^{-i h t} by `linalg.spectral_expm`.
+through `EntangledScenario.evolution`, which judges h1 and h2 by `linalg.hermitian_eigh`;
+it and the oracle form e^{-i h t} by `linalg.spectral_expm`.
 """
 
 from __future__ import annotations
@@ -30,9 +30,12 @@ from .linalg import (
     TOL_OP,
     TOL_PROB,
     as_matrix,
+    check_phase,
     dagger,
+    finite_eigh,
+    hermitian_eigh,
     identity,
-    is_hermitian,
+    max_abs,
     partial_trace,
     spectral_expm,
     tensor,
@@ -66,18 +69,13 @@ class EntangledScenario:
         h2 = np.zeros((d2, d2), dtype=complex) if h2 is None else as_matrix(h2)
         if h1.shape[0] != d1 or h2.shape[0] != d2:
             raise DimensionMismatchError("hamiltonian dimensions inconsistent with the observables")
-        if not (is_hermitian(h1) and is_hermitian(h2)):
-            raise ValidationError("h1 and h2 must be Hermitian")
-        self._spectra = [np.linalg.eigh(h1), np.linalg.eigh(h2)]  # (w, v) of h1, then of h2
-        for field, (w, _) in zip(("h1", "h2"), self._spectra):
-            if not np.isfinite(w).all():  # eigh overflows near the float limit
-                raise ValidationError(f"{field}: hamiltonian has a non-finite eigenvalue: {w}")
+        self._spectra = [hermitian_eigh(h, f"{field}: hamiltonian")  # (w, v) of h1, then h2
+                         for field, h in (("h1", h1), ("h2", h2))]
         if not (0.0 <= t < math.inf and 0.0 <= tau < math.inf):  # also rejects NaN
             raise ValidationError("times must be finite and nonnegative")
         # every phase w * time that `evolution` forms: h1 up to t, h2 up to t + tau
-        w1, w2 = (float(np.max(np.abs(w))) for w, _ in self._spectra)
-        _check_phase("h1", w1, "t", t)
-        _check_phase("h2", w2, "t + tau", t + tau)
+        check_phase("h1", self._spectra[0][0], "t", t)
+        check_phase("h2", self._spectra[1][0], "t + tau", t + tau)
         self.rho12 = rho12
         self.a_obs = a_obs
         self.x_obs = x_obs
@@ -93,13 +91,6 @@ class EntangledScenario:
     def evolution(self, k: int, time: float) -> np.ndarray:
         """e^{-i h_k time} on subsystem k (0 or 1), as `herm_expm` builds it."""
         return spectral_expm(*self._spectra[k], time)
-
-
-def _check_phase(field: str, w_max: float, time: str, value: float):
-    """Refuse a phase that overflows, judged in Python floats so that numpy warns of nothing."""
-    if not math.isfinite(w_max * value):
-        raise ValidationError(
-            f"{field}: phase max|eigenvalue| * {time} = {w_max} * {value} is not finite")
 
 
 class JointDistribution(Distribution):
@@ -133,13 +124,12 @@ def joint_distribution_formula(s: EntangledScenario) -> JointDistribution:
 def joint_distribution_oracle(s: EntangledScenario, model: MeasurementModel) -> JointDistribution:
     """Brute-force joint distribution via the full three-factor dynamics.
 
-    `model` is the local apparatus for the first subsystem, refused
-    (ValidationError) unless it measures the scenario's A (at TOL_OP and the
-    scale of the scenario's A, `within_rounding`) with as many outcomes and
-    meets the measuring condition at TOL_OP, or when the pair phase
-    overflows.  A's labels are the scenario's, the i-th read on the i-th
-    eigenspace of B.  Its interaction acts on H1 (x) HA only, so
-    its extension to the full space commutes with every observable of subsystem 2.
+    `model` is the local apparatus for the first subsystem, refused (ValidationError) unless
+    it measures the scenario's A (at TOL_OP and the scale of the scenario's A,
+    `within_rounding`) with as many outcomes and meets the measuring condition at TOL_OP,
+    or when the pair phase or spectrum overflows.  A's labels are the scenario's, the i-th
+    read on the i-th eigenspace of B.  Its interaction acts on H1 (x) HA only, so its
+    extension to the full space commutes with every observable of subsystem 2.
 
     Evolves the pair freely to time t, prepares the apparatus in sigma,
     applies the interaction unitary extended as U (x) 1, evolves freely by
@@ -170,15 +160,14 @@ def joint_distribution_oracle(s: EntangledScenario, model: MeasurementModel) -> 
     dev = verify_measures(model)
     if not within_rounding(dev, TOL_OP):  # also refuses a NaN deviation
         raise ValidationError(f"apparatus model fails the measuring condition (deviation {dev})")
-    # the pair evolution has max|eigenvalue of h12| <= max|w(h1)| + max|w(h2)|, for t and tau
-    w12 = sum(float(np.max(np.abs(w))) for w, _ in s._spectra)
-    _check_phase("h1 + h2", w12, "max(t, tau)", max(s.t, s.tau))
+    # max|w(h1)| + max|w(h2)| bounds h12's entries and spectrum: judged before h12 is formed
+    check_phase("h1 + h2", sum(max_abs(w) for w, _ in s._spectra), "max(t, tau)", max(s.t, s.tau))
     d1, d2 = s.dims
     da = model.apparatus_dim
     n12, n2a = d1 * d2, d2 * da
-    w, v = np.linalg.eigh(tensor(s.h1, identity(d2)) + tensor(identity(d1), s.h2))
-    if not np.isfinite(w).all():  # eigh overflows near the float limit
-        raise ValidationError(f"h1 + h2: hamiltonian has a non-finite eigenvalue: {w}")
+    h12 = tensor(s.h1, identity(d2)) + tensor(identity(d1), s.h2)
+    # Hermitian by construction: not judged (at its own scale, cancelling diagonals fail it)
+    w, v = finite_eigh(h12, "h1 + h2: hamiltonian")
     u = spectral_expm(w, v, s.t)
     rho = u @ s.rho12.matrix @ dagger(u)
     # U (1 (x) |p_l>): k[i, b, j, l] = sum_b' U[(i, b), (j, b')] p_l[b']
@@ -219,8 +208,12 @@ def posterior_state(s: EntangledScenario, a: float) -> DensityOperator:
 def posteriors(s: EntangledScenario, joint: JointDistribution) -> list:
     """[(a, P(a), rho2(t | a))] for every outcome whose marginal P(a) in `joint`, the
     scenario's closed-form joint distribution, exceeds TOL_PROB, in outcome order."""
-    return [(a, p, posterior_state(s, a))
-            for a, p in joint.marginal_a().entries.items() if p > TOL_PROB]
+    return [(a, p, posterior_state(s, a)) for a, p in _likely(joint)]
+
+
+def _likely(j: JointDistribution) -> list:
+    """[(a, P(a))] for every outcome of A whose marginal in `j` exceeds TOL_PROB, in order."""
+    return [(a, p) for a, p in j.marginal_a().entries.items() if p > TOL_PROB]
 
 
 def bayes_condition(j: JointDistribution, a: float) -> OutcomeDistribution:
@@ -233,6 +226,12 @@ def bayes_condition(j: JointDistribution, a: float) -> OutcomeDistribution:
     if total <= TOL_PROB:
         raise ZeroProbabilityError(f"outcome {a} has marginal probability {total}")
     return OutcomeDistribution({x: p / total for x, p in row.items()})
+
+
+def independent(j: JointDistribution) -> bool:
+    """P(x | a) = P(x) within TOL_PROB for each a with P(a) > TOL_PROB, as `posteriors` keeps."""
+    marg_x = j.marginal_x()
+    return not any(bayes_condition(j, a).max_deviation(marg_x) > TOL_PROB for a, _ in _likely(j))
 
 
 def bayes_mixture_check(prior: DensityOperator, conditioned) -> float:

@@ -16,14 +16,14 @@ import sys
 import numpy as np
 
 from . import checks
-from .bayes import bayes_condition
+from .bayes import independent
 from .errors import (
     DimensionMismatchError,
     ParseError,
     ValidationError,
     ZeroProbabilityError,
 )
-from .linalg import TOL_OP, TOL_PROB, identity
+from .linalg import TOL_OP, identity
 from .measurement import outcome_probability, state_reduction
 from .modelio import (
     load_json,
@@ -141,8 +141,7 @@ def _joint_to_list(j) -> list:
 def cmd_entangled(args) -> int:
     scenario, apparatus = scenario_from_dict(load_json(args.scenario))
     evaluated = checks.evaluate_scenario(scenario, apparatus)
-    formula = evaluated.formula
-    doc: dict = {"joint_formula": _joint_to_list(formula)}
+    doc: dict = {"joint_formula": _joint_to_list(evaluated.formula)}
     if apparatus is not None:
         report = checks.LOCAL_MEASUREMENT.run(args.tolerance, scenario, evaluated)
         doc["joint_oracle"] = _joint_to_list(evaluated.oracle)
@@ -150,9 +149,7 @@ def cmd_entangled(args) -> int:
     doc["prior"] = matrix_to_pairs(evaluated.prior.matrix)
     doc["posteriors"] = {_fmt(a): matrix_to_pairs(post.matrix)
                          for a, _, post in evaluated.posteriors}
-    marg_x = formula.marginal_x()
-    doc["independent"] = not any(bayes_condition(formula, a).max_deviation(marg_x) > TOL_PROB
-                                 for a, _, _ in evaluated.posteriors)
+    doc["independent"] = independent(evaluated.formula)
     mixture = checks.BAYES_MIXTURE.run(args.tolerance, scenario, evaluated)
     doc["bayes_mixture_deviation"] = _deviation(mixture.max_deviation)
     doc["ok"] = ok = mixture.passed and (apparatus is None or report.passed)
@@ -217,16 +214,16 @@ def _tolerance(text: str, source: str = "--tolerance") -> float:
     return tol
 
 
-# one parser per process and default tolerance: parse_args leaves it unchanged, and a
-# build takes about 1 ms, paid on every call by a process that runs many commands
-@functools.lru_cache(maxsize=None)
-def build_parser(default_tol: float) -> argparse.ArgumentParser:
+# one parser per process (a build takes about 1 ms): --tolerance has no default here, so
+# that `main` can pass the environment's, read on every call, in the namespace it parses into
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="reductionlab",
                      description="Measurement-model verification and state reduction")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--tolerance", type=_tolerance, default=default_tol,
+        p.add_argument("--tolerance", type=_tolerance, default=argparse.SUPPRESS,
                        help="operator tolerance for pass/fail judgments")
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
@@ -267,7 +264,7 @@ def main(argv=None) -> int:
     try:
         env = os.environ.get(TOL_ENV_VAR)
         default_tol = TOL_OP if env is None else _tolerance(env, TOL_ENV_VAR)
-        args = build_parser(default_tol).parse_args(argv)
+        args = build_parser().parse_args(argv, argparse.Namespace(tolerance=default_tol))
         code = args.fn(args)
         sys.stdout.flush()  # so that a closed stdout shows here, not at shutdown
         return code

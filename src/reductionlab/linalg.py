@@ -1,9 +1,9 @@
 """Dense complex linear algebra primitives.
 
-Kronecker products, partial traces, tensor-factor permutations,
-Hermitian matrix exponentials, and spectral decomposition with
-eigenvalue clustering.  Everything here is a pure function of
-immutable numpy arrays.  Finite input near the float limit is judged
+Kronecker products, partial traces, tensor-factor permutations, Hermitian matrix
+exponentials and spectral decomposition with eigenvalue clustering, both after
+`hermitian_eigh`, the one spectral step of every Hermitian input.  All are pure
+functions of immutable numpy arrays.  Finite input near the float limit is judged
 without a numpy warning, and a finite spectrum keeps finite labels.
 """
 
@@ -123,12 +123,37 @@ def permute_factors(m, dims, perm) -> np.ndarray:
     return t.reshape(d, d)
 
 
-def herm_expm(h, tau: float) -> np.ndarray:
-    """e^{-i h tau} for Hermitian h (hbar = 1), via eigendecomposition."""
-    a = as_matrix(h)
+def hermitian_eigh(m, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """(w, v) of m, the one spectral step of a Hermitian input: judged by `is_hermitian` at
+    its own scale, refused with a ValidationError naming `what`, then `finite_eigh`."""
+    a = as_matrix(m)
     if not is_hermitian(a):
-        raise ValidationError("herm_expm requires a Hermitian matrix")
+        raise ValidationError(f"{what} must be Hermitian")
+    return finite_eigh(a, what)
+
+
+def finite_eigh(a: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """(w, v) of `eigh` (looked up per call) of a matrix already Hermitian, from the step or by
+    construction; a ValidationError names `what` when an eigenvalue overflows."""
     w, v = np.linalg.eigh(a)
+    if not np.isfinite(w).all():  # eigh overflows near the float limit
+        raise ValidationError(f"{what} has a non-finite eigenvalue: {w.tolist()}")
+    return w, v
+
+
+def check_phase(field: str, w, time: str, value: float):
+    """The one phase bound: refuse max|w| * value (w a spectrum, or a bound on one) unless
+    finite, in Python floats (no warning)."""
+    w_max, value = max_abs(w), float(value)
+    if not np.isfinite(w_max * value):
+        raise ValidationError(
+            f"{field}: phase max|eigenvalue| * {time} = {w_max} * {value} is not finite")
+
+
+def herm_expm(h, tau: float) -> np.ndarray:
+    """e^{-i h tau} for Hermitian h (hbar = 1): spectral step, phase bound, `spectral_expm`."""
+    w, v = hermitian_eigh(h, "hamiltonian")
+    check_phase("hamiltonian", w, "tau", tau)
     return spectral_expm(w, v, float(tau))
 
 
@@ -141,15 +166,10 @@ def spectral_decompose(a) -> list[tuple[float, np.ndarray]]:
     """Eigenvalues (clustered while gaps are within TOL_EIG at max|w|, ascending) and eigenbases.
 
     Each cluster is represented by the mean of its members and by its eigenvectors, as the
-    orthonormal columns of a block b; the spectral projection is b @ dagger(b).  An eigenvalue
-    that overflows in `eigh` is refused; finite ones keep finite labels.
+    orthonormal columns of a block b; the spectral projection is b @ dagger(b).  The matrix goes
+    through `hermitian_eigh` as an "observable"; finite eigenvalues keep finite labels.
     """
-    m = as_matrix(a)
-    if not is_hermitian(m):
-        raise ValidationError("spectral_decompose requires a Hermitian matrix")
-    w, v = np.linalg.eigh(m)
-    if not np.isfinite(w).all():  # eigh overflows near the float limit
-        raise ValidationError(f"observable has a non-finite eigenvalue: {w.tolist()}")
+    w, v = hermitian_eigh(a, "observable")
     # halved gaps at half the tolerance stay finite and cut where the gaps cut; where the sum
     # of a cluster may overflow (w ascends: max|w| is at an end), its mean is summed from c / n
     cuts = [0, *(np.flatnonzero(~within_rounding(np.diff(w / 2), TOL_EIG / 2, w)) + 1), len(w)]

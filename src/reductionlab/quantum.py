@@ -1,14 +1,14 @@
 """Physical-layer objects: observables, density operators, Born statistics
 and unitary evolution.
 
-An outcome is named by its label, a clustered eigenvalue; `outcome_index`
-is the one rule that matches a queried label to an outcome.  A state is
-its matrix alone: the tensor factors of a composite state are those of
-the observables measured on it.  `density_operators` is the one judge of
-a state, on a stack of matrices in one batched call; `DensityOperator(m)`
-is that judge on a stack of one, and `conditional_state` conditions and
-judges a stack.  `distributions` is the one Born product Tr[F(a) rho], over
-a stack of states; `born_distribution` is its stack of one.
+An outcome is named by its label, a clustered eigenvalue; `outcome_index` is the one
+rule that matches a queried label to an outcome.  `linalg.hermitian_eigh` judges and
+diagonalizes an observable, and `evolve`'s Hamiltonian, once.  A state is its matrix
+alone: the tensor factors of a composite state are those of the observables measured
+on it.  `density_operators` is the one judge of a state, on a stack of matrices in one
+batched call; `DensityOperator(m)` is that judge on a stack of one, and
+`conditional_state` conditions and judges a stack.  `distributions` is the one Born
+product Tr[F(a) rho], over a stack of states; `born_distribution` is its stack of one.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .linalg import (
     as_matrix,
     dagger,
     herm_expm,
-    is_hermitian,
     max_abs,
     spectral_decompose,
     within_rounding,
@@ -48,11 +47,8 @@ class Observable:
     orthonormal columns spanning the eigenspace of `spectrum[i]`, its projection b b^dag."""
 
     def __init__(self, matrix):
-        m = as_matrix(matrix)
-        if not is_hermitian(m):
-            raise ValidationError("observable matrix must be Hermitian")
-        self.matrix = m
-        decomposition = spectral_decompose(m)
+        self.matrix = as_matrix(matrix)
+        decomposition = spectral_decompose(self.matrix)
         self.bases = [b for _, b in decomposition]
         self.spectrum = [(a, b @ dagger(b)) for a, b in decomposition]
 

@@ -1,4 +1,5 @@
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from reductionlab.bayes import (
     JointDistribution,
     bayes_condition,
     bayes_mixture_check,
+    independent,
     joint_distribution_formula,
     joint_distribution_oracle,
     posterior_state,
@@ -207,6 +209,30 @@ class TestOracle:
         with pytest.raises(ValidationError, match=r"h1 \+ h2: phase max\|eigenvalue\| \* max"):
             joint_distribution_oracle(s, cnot_qubit_model())
 
+    def test_pair_phase_is_bounded_before_the_pair_hamiltonian(self):
+        # each phase is 1e308 * 1, legal; h1 (x) 1 + 1 (x) h2 would overflow as it is formed
+        s = EntangledScenario(bell_state(), Observable(PAULI_Z), Observable(PAULI_Z),
+                              h1=np.diag([1e308, 0.0]), h2=np.diag([1e308, 0.0]), t=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=r"h1 \+ h2: phase"):
+                joint_distribution_oracle(s, cnot_qubit_model())
+
+    def test_pair_spectrum_overflow_is_refused(self):
+        # spectra (max/2, -max/4) turned by theta: the pair bound max|w1| + max|w2| is finite,
+        # but eigh of h1 (x) 1 + 1 (x) h2 rounds its top eigenvalue, about max, to inf
+        def turned(theta):
+            c, s = np.cos(theta), np.sin(theta)
+            u = np.array([[c, -s], [s, c]])
+            return (u * np.array([0.5, -0.25]) * sys.float_info.max) @ u.T
+
+        s = EntangledScenario(bell_state(), Observable(PAULI_Z), Observable(PAULI_Z),
+                              h1=turned(0.125), h2=turned(0.375))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=r"^h1 \+ h2: hamiltonian has a non-finite"):
+                joint_distribution_oracle(s, cnot_qubit_model())
+
     def test_random_scenarios_all_apparatus_families(self):
         rng = np.random.default_rng(777)
         for i in range(10):
@@ -402,6 +428,16 @@ class TestBayesCondition:
         cond = bayes_condition(j, 0.0)
         assert cond.probability(0.0) == pytest.approx(0.3)
         assert cond.max_deviation(j.marginal_x()) < 1e-12
+
+    def test_independence(self):
+        # X's conditionals are read only for outcomes of A with P(a) > TOL_PROB: the row
+        # of A = 1 has probability 0 and cannot be conditioned on
+        zero_row = {(0.0, 0.0): 0.3, (0.0, 1.0): 0.7, (1.0, 0.0): 0.0, (1.0, 1.0): 0.0}
+        assert independent(JointDistribution(zero_row))
+        assert independent(JointDistribution({(0.0, 0.0): 0.12, (0.0, 1.0): 0.28,
+                                              (1.0, 0.0): 0.18, (1.0, 1.0): 0.42}))
+        s = EntangledScenario(bell_state(), Observable(PAULI_Z), Observable(PAULI_Z))
+        assert not independent(joint_distribution_formula(s))
 
     def test_perfect_correlation_point_mass(self):
         s = EntangledScenario(bell_state(), Observable(PAULI_Z), Observable(PAULI_Z))

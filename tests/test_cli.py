@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import reductionlab
 from reductionlab import bayes, checks
 from reductionlab.bayes import EntangledScenario
-from reductionlab.cli import main
+from reductionlab.cli import build_parser, main
 from reductionlab.modelio import (
     load_json,
     matrix_to_pairs,
@@ -738,6 +738,14 @@ class TestToleranceOverride:
             assert main(["verify", cnot_path, "--json"]) == 0
             tolerances.append(json.loads(capsys.readouterr().out)["checks"][0]["tolerance"])
         assert tolerances == [1e-3, 1e-9]
+
+    def test_one_parser_for_every_env_value(self, cnot_path, capsys, monkeypatch):
+        build_parser.cache_clear()
+        for value in ("1e-3", "1e-6", "1e-9"):
+            monkeypatch.setenv("REDUCTIONLAB_TOL", value)
+            assert main(["verify", cnot_path, "--json"]) == 0
+            assert json.loads(capsys.readouterr().out)["checks"][0]["tolerance"] == float(value)
+        assert build_parser.cache_info().misses == 1
 
     def test_bad_env(self, cnot_path, capsys, monkeypatch):
         monkeypatch.setenv("REDUCTIONLAB_TOL", "not-a-number")

@@ -1,9 +1,12 @@
+import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from reductionlab import linalg
+from reductionlab import linalg, quantum
+from reductionlab.bayes import EntangledScenario
 from reductionlab.errors import DimensionMismatchError, ValidationError
 from reductionlab.linalg import (
     TOL_EIG,
@@ -20,6 +23,7 @@ from reductionlab.linalg import (
     tensor,
     within_rounding,
 )
+from reductionlab.quantum import DensityOperator, Observable
 
 RNG = np.random.default_rng(1234)
 
@@ -230,6 +234,22 @@ class TestFloatLimit:
         with pytest.raises(ValidationError, match="non-finite eigenvalue"):
             spectral_decompose(np.full((2, 2), 1e308))
 
+    @pytest.mark.parametrize("h, tau, message", [
+        # eigh overflows: the eigenvalues are 0 and 2e308 = inf
+        (np.full((2, 2), 1e308), 1.0, r"^hamiltonian has a non-finite eigenvalue: \[.*inf\]"),
+        # a finite spectrum whose phase overflows, or a phase that is NaN
+        (np.diag([1e300, 0.0]), 1e10, r"^hamiltonian: phase max\|eigenvalue\| \* tau = .*"),
+        (np.diag([1.0, 0.0]), math.nan, r"^hamiltonian: phase .* = 1.0 \* nan is not finite"),
+        (np.zeros((2, 2)), math.inf, r"^hamiltonian: phase .* = 0.0 \* inf is not finite"),
+    ], ids=["overflowing-spectrum", "overflowing-phase", "nan-time", "infinite-time"])
+    def test_herm_expm_refuses_an_overflowing_exponent(self, h, tau, message):
+        with pytest.raises(ValidationError, match=message):
+            herm_expm(h, tau)
+
+    def test_herm_expm_of_a_finite_phase(self):
+        u = herm_expm(np.diag([1e300, 0.0]), 1e8)
+        assert u[1, 1] == 1.0 and abs(abs(u[0, 0]) - 1.0) < 1e-15
+
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e8, 1e150])
     def test_clusters_and_labels_as_unhalved(self, scale):
         """The halved gaps cut where the unhalved ones cut, and labels are plain means."""
@@ -243,3 +263,49 @@ class TestFloatLimit:
             cuts = [0, *(np.flatnonzero(~within_rounding(np.diff(w), TOL_EIG, w)) + 1), 8]
             want = [float(np.mean(w[i:j])) for i, j in zip(cuts, cuts[1:])]
             assert [a for a, _ in spectral_decompose(m)] == want
+
+
+def _scenario(field: str):
+    """A scenario on two qubits with `field` (h1 or h2) set to the matrix it is given."""
+    z = Observable(np.diag([1.0, -1.0]))
+    return lambda m: EntangledScenario(DensityOperator(identity(4) / 4), z, z, **{field: m})
+
+
+# every caller of the spectral step, and the name its refusals carry
+SPECTRAL_STEP_CALLERS = {
+    "observable": (Observable, "observable"),
+    "h1": (_scenario("h1"), "h1: hamiltonian"),
+    "h2": (_scenario("h2"), "h2: hamiltonian"),
+    "herm_expm": (lambda m: herm_expm(m, 1.0), "hamiltonian"),
+}
+
+
+class TestSpectralStep:
+    """Every Hermitian input goes through `hermitian_eigh`: judged once, diagonalized once,
+    and refused with the input's name when it is not Hermitian or its spectrum overflows."""
+
+    @pytest.mark.parametrize("caller", SPECTRAL_STEP_CALLERS.values(),
+                             ids=SPECTRAL_STEP_CALLERS.keys())
+    @pytest.mark.parametrize("m, refusal", [
+        (np.diag([1.0, -1.0]) + 1e-6 * np.array([[0.0, 1.0], [-1.0, 0.0]]), "must be Hermitian"),
+        (np.full((2, 2), 1e308), "has a non-finite eigenvalue"),
+    ], ids=["anti-hermitian", "overflowing"])
+    def test_refusals_name_the_input(self, caller, m, refusal):
+        build, name = caller
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=f"^{re.escape(name)} {refusal}"):
+                build(m)
+
+    def test_observable_is_judged_once(self, monkeypatch):
+        calls = []
+
+        def counted(m):
+            calls.append(np.shape(m))
+            return is_hermitian(m)
+
+        for module in (linalg, quantum):  # wherever the judge is bound
+            if getattr(module, "is_hermitian", None) is is_hermitian:
+                monkeypatch.setattr(module, "is_hermitian", counted)
+        Observable(random_hermitian(4))
+        assert calls == [(4, 4)]

@@ -68,6 +68,17 @@ class TestTypes:
             with pytest.raises(ValidationError, match="non-finite eigenvalue"):
                 Observable(np.full((2, 2), 1e308))
 
+    def test_evolution_near_the_float_limit(self):
+        # evolve and rule 1 go through herm_expm: an overflowing spectrum or phase is refused
+        rho = DensityOperator(identity(2) / 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="hamiltonian has a non-finite eigenvalue"):
+                evolve(rho, np.full((2, 2), 1e308), 1.0)
+            with pytest.raises(ValidationError, match="hamiltonian: phase .* is not finite"):
+                rule1_distribution(rho, np.diag([1e300, 0.0]), Observable(PAULI_Z), 1e10)
+            assert operator_deviation(evolve(rho, np.diag([1e300, 0.0]), 1e8), rho) < 1e-15
+
     @pytest.mark.parametrize("matrix, message", [
         (np.diag([1e308, 1e308]), "trace is inf"),
         (np.array([[0.5, 1e308], [-1e308, 0.5]]), "must be Hermitian"),

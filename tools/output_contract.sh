@@ -8,12 +8,13 @@
 # Hamiltonian, the seeded random model with A and B times 1e8, two models
 # with labels near the float limit (CNOT with A = B = diag(1e308, -1e308),
 # the degenerate controlled shift with A and B -> 1e308 (1 - A), 1e308 (1 - B)),
-# a swap-replace
+# CNOT with an A whose spectrum overflows in `eigh`, a swap-replace
 # model at d = 6 with a full-rank sigma, the Bell/CNOT scenario, the Bell
 # scenario without an apparatus, a variant of each (an apparatus whose A is
 # 1e-12 off the scenario's, also with the scenario's A and the apparatus's A
 # and B times 1e8; a pair phase that overflows with no apparatus to form
-# it), two scenarios with free
+# it), the Bell/CNOT scenario with an h1 whose spectrum overflows, two
+# scenarios with free
 # evolution (one with a full-rank apparatus state sigma), a scenario in
 # which one outcome of A has probability 0, and OUTDIR/NAME.out, NAME.err
 # and NAME.code each command's results.  Two checkouts give the same answers
@@ -32,7 +33,9 @@ python3 -m reductionlab.cli export-zoo "$zoo" > /dev/null
 # random_indirect_scaled.json is random_indirect_42.json with A and B times 1e8,
 # legal operators in large units; cnot_huge.json and degenerate_huge.json are
 # legal models whose labels lie near the float limit, the latter with a
-# two-fold eigenvalue 1e308 whose cluster mean must stay finite
+# two-fold eigenvalue 1e308 whose cluster mean must stay finite;
+# cnot_huge_spectrum.json is CNOT with A's entries all 1e308, finite, whose
+# eigenvalue 2e308 overflows in `eigh` and is refused
 python3 - "$zoo" "$out/inputs" <<'EOF'
 import json
 import sys
@@ -54,8 +57,10 @@ degenerate = load("controlled_shift_degenerate")
 for field, n in (("a_matrix", degenerate["object_dim"]), ("b_matrix", degenerate["apparatus_dim"])):
     degenerate[field] = [[1e308 * ((k % (n + 1) == 0) - re), -1e308 * im]
                          for k, (re, im) in enumerate(degenerate[field])]
+huge_spectrum = {**load("cnot"), "a_matrix": [[1e308, 0.0]] * 4}
 for name, doc in (("cnot_hamiltonian", cnot), ("random_indirect_scaled", model),
-                  ("cnot_huge", huge), ("degenerate_huge", degenerate)):
+                  ("cnot_huge", huge), ("degenerate_huge", degenerate),
+                  ("cnot_huge_spectrum", huge_spectrum)):
     with open(f"{sys.argv[2]}/{name}.json", "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
@@ -68,7 +73,9 @@ EOF
 # bell_eps_scaled.json is bell_eps.json with the scenario's A and the
 # apparatus's A and B times 1e8, so that the 1e-12 is relative to A's scale;
 # bare_phase.json is bell_bare.json with h1 = diag(1e300, 0) and tau = 1e10, a
-# pair phase that overflows but that no computation forms without an apparatus
+# pair phase that overflows but that no computation forms without an apparatus;
+# bell_huge_h1.json is bell.json with h1's entries all 1e308, finite, whose
+# eigenvalue 2e308 overflows in `eigh` and is refused
 python3 - "$zoo/cnot.json" "$out/inputs" <<'EOF'
 import json
 import sys
@@ -93,7 +100,8 @@ eps_scaled = {**eps, "a_matrix": scaled(eps["a_matrix"]), "b_matrix": scaled(eps
 h1 = [[1e300, 0.0]] + [zero] * 3
 for name, extra in (("bell", {"apparatus": apparatus}), ("bell_bare", {}),
                     ("bell_eps", {"apparatus": eps}), ("bare_phase", {"h1": h1, "tau": 1e10}),
-                    ("bell_eps_scaled", {"a_matrix": scaled(z), "apparatus": eps_scaled})):
+                    ("bell_eps_scaled", {"a_matrix": scaled(z), "apparatus": eps_scaled}),
+                    ("bell_huge_h1", {"apparatus": apparatus, "h1": [[1e308, 0.0]] * 4})):
     with open(f"{sys.argv[2]}/{name}.json", "w", encoding="utf-8") as fh:
         json.dump({**doc, **extra}, fh, indent=1)
         fh.write("\n")
@@ -196,6 +204,7 @@ run verify-scaled verify "$out/inputs/random_indirect_scaled.json" --json
 run verify-huge verify "$out/inputs/cnot_huge.json" --json
 run verify-huge-degenerate verify "$out/inputs/degenerate_huge.json" --json
 run verify-swap-6 verify "$out/inputs/swap_replace_6.json" --json
+run verify-huge-spectrum verify "$out/inputs/cnot_huge_spectrum.json" --json
 run sweep-42 sweep --json --seed 42 --trials 30 --dims 2..4
 run sweep-7 sweep --json --seed 7 --trials 2 --dims 6,8
 run entangled-json entangled "$out/inputs/bell.json" --json
@@ -209,6 +218,7 @@ run entangled-free-json entangled "$out/inputs/free.json" --json
 run entangled-swap-json entangled "$out/inputs/swap_free.json" --json
 run entangled-zero-json entangled "$out/inputs/zero_outcome.json" --json
 run entangled-zero-text entangled "$out/inputs/zero_outcome.json"
+run entangled-huge-h1 entangled "$out/inputs/bell_huge_h1.json" --json
 run reduce-cnot-plus reduce "$zoo/cnot.json" --state + --outcome 1
 run reduce-cnot-minus-i reduce "$zoo/cnot.json" --state -i --outcome 1
 run reduce-swap-plus reduce "$zoo/swap_replace.json" --state + --outcome -1
