@@ -11,11 +11,21 @@ and shares no structure with the formula; its docstring gives the
 apparatus dilation by which it never forms the state on that space.
 
 Bayes: `prior_state` is the distant subsystem's state rho2(t),
-`posterior_state` conditions it on one outcome of A, and `posteriors` on
-each with nonzero marginal, normalized after evolving by
-`quantum.conditional_state`.  They and the formula evolve the pair only
-through `EntangledScenario.evolution`, which judges h1 and h2 by `linalg.hermitian_eigh`;
-it and the oracle form e^{-i h t} by `linalg.spectral_expm`.
+`posteriors` conditions it on each outcome of A with nonzero marginal, as
+one stack normalized after evolving by `quantum.conditional_state`, and
+`posterior_state` is that conditioning on a stack of one.  They and the
+formula evolve the pair only through `EntangledScenario.evolution`, which
+judges h1 and h2 by `linalg.hermitian_eigh`; it and the oracle form
+e^{-i h t} by `linalg.spectral_expm`.
+
+The formula and the posteriors cost pair-space work: no Kronecker product
+is formed outside the oracle's pair Hamiltonian h12.  The formula reads
+P(a, x) = Tr[E^X_{t+tau}(x) S_a] with S_a = Tr_1[(E^A_t(a) (x) 1) rho12],
+one contraction of rho12 as (d1, d2, d1, d2).  The posteriors apply
+E^A_t(a) (x) 1 as one flat product on rho12 as (d1, d2 d1 d2) and take one
+partial trace per outcome.  The two stay separate contractions: the
+posteriors never read the formula's S_a, so the `posterior_conditionals`
+check compares two computations, not one arithmetic identity.
 """
 
 from __future__ import annotations
@@ -108,17 +118,18 @@ class JointDistribution(Distribution):
 
 
 def joint_distribution_formula(s: EntangledScenario) -> JointDistribution:
-    """Pr{A(t)=a, X(t+tau)=x} from Heisenberg-evolved projections on rho12."""
+    """Pr{A(t)=a, X(t+tau)=x} = Tr[E^X_{t+tau}(x) S_a] from Heisenberg-evolved projections,
+    with S_a = Tr_1[(E^A_t(a) (x) 1) rho12] one contraction of rho12 as (d1, d2, d1, d2)."""
+    d1, d2 = s.dims
     # Heisenberg frame: P(time) = e^{+i h time} P e^{-i h time}
     u1, u2 = s.evolution(0, -s.t), s.evolution(1, -(s.t + s.tau))
-    ex_ts = [(x, u2 @ ex @ dagger(u2)) for x, ex in s.x_obs.spectrum]
-    entries = {}
-    for a, ea in s.a_obs.spectrum:
-        ea_t = u1 @ ea @ dagger(u1)
-        for x, ex_t in ex_ts:
-            p = float(np.trace(tensor(ea_t, ex_t) @ s.rho12.matrix).real)
-            entries[(a, x)] = p
-    return JointDistribution(entries)
+    ea_t = u1 @ np.array([ea for _, ea in s.a_obs.spectrum]) @ dagger(u1)
+    ex_t = u2 @ np.array([ex for _, ex in s.x_obs.spectrum]) @ dagger(u2)
+    # S_a[y, z] = sum_{i, j} E^A_t(a)[j, i] rho12[(i, y), (j, z)]
+    selected = np.einsum("aji,iyjz->ayz", ea_t, s.rho12.matrix.reshape(d1, d2, d1, d2))
+    probs = np.einsum("xzy,ayz->ax", ex_t, selected).real.tolist()
+    return JointDistribution({(a, x): p for a, row in zip(s.a_obs.eigenvalues, probs)
+                              for x, p in zip(s.x_obs.eigenvalues, row)})
 
 
 def joint_distribution_oracle(s: EntangledScenario, model: MeasurementModel) -> JointDistribution:
@@ -197,18 +208,28 @@ def prior_state(s: EntangledScenario) -> DensityOperator:
 
 def posterior_state(s: EntangledScenario, a: float) -> DensityOperator:
     """rho2(t | A(t)=a): the distant subsystem's state conditioned on the local outcome,
-    Tr_1[(E^A_t(a) (x) 1) rho12] evolved to t and then normalized (`conditional_state`)."""
-    u1 = s.evolution(0, -s.t)
-    ea_t = u1 @ s.a_obs.projection(a) @ dagger(u1)
-    selected = partial_trace(tensor(ea_t, identity(s.dims[1])) @ s.rho12.matrix, s.dims, [1])
-    u = s.evolution(1, s.t)
-    return conditional_state((u @ selected @ dagger(u))[None], a)[0]
+    `posteriors`' conditioning on a stack of one."""
+    return _conditioned(s, [a])[0]
 
 
 def posteriors(s: EntangledScenario, joint: JointDistribution) -> list:
     """[(a, P(a), rho2(t | a))] for every outcome whose marginal P(a) in `joint`, the
     scenario's closed-form joint distribution, exceeds TOL_PROB, in outcome order."""
-    return [(a, p, posterior_state(s, a)) for a, p in _likely(joint)]
+    likely = _likely(joint)
+    return [(a, p, post) for (a, p), post in zip(likely, _conditioned(s, [a for a, _ in likely]))]
+
+
+def _conditioned(s: EntangledScenario, labels: list) -> list[DensityOperator]:
+    """rho2(t | a) for the outcome each label names: Tr_1[(E^A_t(a) (x) 1) rho12], one flat
+    product and one partial trace each, evolved to t as one stack and normalized together by
+    `conditional_state`.  Its own contraction: it never reads the formula's S_a."""
+    d1, d2 = s.dims
+    u1, u = s.evolution(0, -s.t), s.evolution(1, s.t)
+    ea_t = u1 @ np.array([s.a_obs.projection(a) for a in labels]) @ dagger(u1)
+    # (E^A_t(a) (x) 1) rho12 as ea_t @ rho12[i, (y, j, z)]
+    applied = (ea_t @ s.rho12.matrix.reshape(d1, -1)).reshape(-1, d1 * d2, d1 * d2)
+    selected = np.array([partial_trace(m, s.dims, [1]) for m in applied])
+    return conditional_state(u @ selected @ dagger(u), labels)
 
 
 def _likely(j: JointDistribution) -> list:

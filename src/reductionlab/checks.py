@@ -27,8 +27,8 @@ from .linalg import TOL_OP, TOL_PROB, dagger, identity, max_abs
 from .measurement import (effects, mixture_identity_check, reductions,
                           satisfies_projection_postulate, state_reduction_sandwiched,
                           statistics_deviation, verify_measures)
-from .quantum import (DensityOperator, born_distribution, operator_deviation, random_density,
-                      spanning_states)
+from .quantum import (DensityOperator, density_operators, distributions, operator_deviation,
+                      random_density, spanning_states)
 from .zoo import random_indirect_model, random_observable
 
 OPERATOR = "operator"
@@ -103,11 +103,13 @@ def evaluate_scenario(scenario, model=None) -> SimpleNamespace:
 
 
 def _posterior_conditionals(scenario, evaluated) -> float:
-    """Bayes conditionals P(x | a) against rule 1: X's statistics on the posterior at t + tau."""
+    """Bayes conditionals P(x | a) against rule 1: X's statistics on the posteriors at t + tau,
+    evolved as one stack, judged once and read by one `distributions` call."""
     u = scenario.evolution(1, scenario.tau)
-    return max_abs([bayes_condition(evaluated.formula, a).max_deviation(
-        born_distribution(scenario.x_obs, DensityOperator(u @ post.matrix @ dagger(u))))
-        for a, _, post in evaluated.posteriors])
+    evolved = u @ np.array([post.matrix for _, _, post in evaluated.posteriors]) @ dagger(u)
+    density_operators(evolved)
+    return max_abs([bayes_condition(evaluated.formula, a).max_deviation(stats) for (a, _, _), stats
+                    in zip(evaluated.posteriors, distributions(scenario.x_obs.spectrum, evolved))])
 
 
 VERIFY_CHECKS = (

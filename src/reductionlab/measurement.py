@@ -23,9 +23,13 @@ rank sigma, the pointer columns sqrt(s_l) |phi_l> otherwise.
 against: the literal Tr_A[(1 (x) E^B(a)) U (rho (x) sigma) U^dag (1 (x) E^B(a))]
 / P(a), sharing neither sigma's eigendecomposition nor the probe bases
 with the Kraus path.  It is contracted on the (object, apparatus) indices
-in this order: U (1 (x) sigma), then (rho (x) 1) from the right, then
-1 (x) E^B(a) from the left (the right-hand projection moves under Tr_A,
-since E^B(a)^2 = E^B(a)), then U^dag with the apparatus index summed.
+in this order: once per call, U (1 (x) sigma), then 1 (x) E^B(a) from the
+left (the right-hand projection moves under Tr_A, since E^B(a)^2 = E^B(a)),
+laid out as x[(i, beta, gamma), j]; then, one state at a time, (rho (x) 1)
+from the right and U^dag with the apparatus index summed, as the two flat
+products (x @ rho).reshape(d, -1) @ u_bar with u_bar[(beta, gamma, k), i']
+= conj(U)[(i', beta), (k, gamma)].  The projection may come before the
+state since (1 (x) E) U (rho (x) sigma) = (1 (x) E) U (1 (x) sigma) (rho (x) 1).
 No Kronecker product is formed; the composite state U (rho (x) sigma) U^dag
 is built only by `MeasurementModel.composite_after`, kept as a reference
 for tests.
@@ -227,24 +231,23 @@ def state_reduction(model: MeasurementModel, rho: DensityOperator, a: float) -> 
 def state_reduction_sandwiched(model: MeasurementModel, states, a: float) -> list[DensityOperator]:
     """Oracle: Tr_A[(1 (x) E^B(a)) U (rho (x) sigma) U^dag (1 (x) E^B(a))] / P(a) for each state.
 
-    Contracted one state at a time, on the (object, apparatus) indices in the
-    order the module docstring gives; no Kronecker product is formed.  Only
-    the conditioning and judging of the results are batched.
+    (1 (x) E^B(a)) U (1 (x) sigma) is formed once per call, then each state is
+    contracted on its own by two flat products, in the order the module
+    docstring gives; no Kronecker product is formed, and no composite-sized
+    temporary is stacked over the states.  Only the conditioning and judging
+    of the results are batched.
     """
     r = _stack(model, states)
     d, da = model.object_dim, model.apparatus_dim
-    n = d * da
-    proj = model.probe_projection(a)
-    # x[(i, beta), j, gamma] = sum_beta' U[(i, beta), (j, beta')] sigma[beta', gamma]
-    x = (model.u.reshape(-1, da) @ model.sigma.matrix).reshape(n, d, da)
-    u_bar = model.u.conj().reshape(d, da * n).T
-    nums = []
-    for rho in r:
-        # sum_j rho[j, k] x[(i, beta), j, gamma]: U (rho (x) sigma), then (1 (x) E^B(a)) on the
-        # left only: the right-hand copy moves under Tr_A, E^B(a)^2 = E^B(a)
-        y = proj @ (rho.T @ x).reshape(d, da, n)
-        # I_a(rho)[i, i'] = sum_{beta, m} y[i, beta, m] conj(U)[(i', beta), m] over m = (k, gamma)
-        nums.append(y.reshape(d, da * n) @ u_bar)
+    # (1 (x) E^B(a)) U (1 (x) sigma) once: (1 (x) E) U (rho (x) sigma) = (1 (x) E) U (1 (x) sigma)
+    # (rho (x) 1), and the right-hand projection moves under Tr_A, E^B(a)^2 = E^B(a)
+    x = (model.u.reshape(-1, da) @ model.sigma.matrix).reshape(d, da, -1)  # [i, beta, (j, gamma)]
+    x = model.probe_projection(a) @ x
+    x = x.reshape(d, da, d, da).transpose(0, 1, 3, 2).reshape(-1, d)  # x[(i, beta, gamma), j]
+    # u_bar[(beta, gamma, k), i'] = conj(U)[(i', beta), (k, gamma)]
+    u_bar = model.u.conj().reshape(d, da, d, da).transpose(1, 3, 2, 0).reshape(-1, d)
+    # I_a(rho)[i, i'] = sum over (beta, gamma, k) of (x @ rho)[(i, beta, gamma), k] u_bar[.., i']
+    nums = [(x @ rho).reshape(d, -1) @ u_bar for rho in r]
     return conditional_state(np.array(nums).reshape(-1, d, d), a)
 
 

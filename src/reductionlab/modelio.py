@@ -11,6 +11,7 @@ checked against the scenario by `bayes.joint_distribution_oracle`.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import sys
@@ -38,12 +39,28 @@ def pairs_to_matrix(pairs, field: str) -> np.ndarray:
     dim = math.isqrt(n)
     if dim * dim != n or dim == 0:
         raise ParseError(f"{field}: {n} entries is not a positive square")
-    flat = np.empty(n, dtype=complex)
-    for i, p in enumerate(pairs):
-        if not (isinstance(p, list) and len(p) == 2 and _finite(p[0]) and _finite(p[1])):
-            raise ParseError(f"{field}: entry {i} is not a [re, im] pair")
-        flat[i] = complex(p[0], p[1])
-    return flat.reshape(dim, dim)
+    flat = _pairs_array(pairs)
+    if flat is None or not (np.abs(flat) < sys.float_info.max).all():
+        # name the first bad entry; an int above the float maximum converts to it, so an entry
+        # at the maximum is judged here too
+        for i, p in enumerate(pairs):
+            if not (isinstance(p, list) and len(p) == 2 and _finite(p[0]) and _finite(p[1])):
+                raise ParseError(f"{field}: entry {i} is not a [re, im] pair")
+        flat = np.array(pairs, dtype=float)
+    return flat.view(complex).reshape(dim, dim)  # the bits of each part, signed zeros included
+
+
+def _pairs_array(pairs: list) -> np.ndarray | None:
+    """The pairs as an (n, 2) float array in one conversion, or None unless every entry is a
+    two-element list of exact ints and floats (JSON's numbers; bool is neither)."""
+    if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
+        return None
+    if not set(map(type, itertools.chain.from_iterable(pairs))) <= {int, float}:
+        return None
+    try:
+        return np.array(pairs, dtype=float)
+    except OverflowError:  # an int too large for a float
+        return None
 
 
 def _finite(v) -> bool:

@@ -110,19 +110,21 @@ def density_operators(stack) -> list[DensityOperator]:
     return out
 
 
-def conditional_state(nums: np.ndarray, a: float) -> list[DensityOperator]:
-    """nums[i] / Tr nums[i] for a stack (n, d, d) of numerators of outcome `a`, judged at once.
+def conditional_state(nums: np.ndarray, a) -> list[DensityOperator]:
+    """nums[i] / Tr nums[i] for a stack (n, d, d) of numerators, judged at once; `a` is the
+    outcome's label, or a sequence of one label per numerator.
 
     Refused as conditioning them one by one would refuse: the first numerator
-    with Tr <= TOL_PROB raises ZeroProbabilityError unless one before it fails
-    the judge.
+    with Tr <= TOL_PROB raises ZeroProbabilityError, naming its own label,
+    unless one before it fails the judge.
     """
     p = nums.trace(axis1=1, axis2=2).real
     z = next((i for i, pi in enumerate(p.tolist()) if pi <= TOL_PROB), len(p))
     states = density_operators(nums[:z] / p[:z, None, None])
     if z < len(p):
+        label = a[z] if np.ndim(a) else a
         raise ZeroProbabilityError(
-            f"outcome {a} has probability {float(p[z])}; reduced state undefined")
+            f"outcome {label} has probability {float(p[z])}; reduced state undefined")
     return states
 
 

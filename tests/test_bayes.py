@@ -362,6 +362,49 @@ class TestOracleAgainstLiteral:
         assert joint_distribution_formula(s).max_deviation(oracle) < TOL_OP
 
 
+def kronecker_joint(s):
+    """The closed form with a Kronecker product per (a, x): Tr[(E^A_t(a) (x) E^X_{t+tau}(x))
+    rho12], the formula at its most literal."""
+    u1, u2 = s.evolution(0, -s.t), s.evolution(1, -(s.t + s.tau))
+    return {(a, x): float(np.trace(tensor(u1 @ ea @ dagger(u1), u2 @ ex @ dagger(u2))
+                                   @ s.rho12.matrix).real)
+            for a, ea in s.a_obs.spectrum for x, ex in s.x_obs.spectrum}
+
+
+class TestPairCost:
+    """The formula and the posteriors contract rho12 on the pair's factors: no Kronecker product."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d1=st.integers(1, 4), d2=st.integers(1, 4),
+           degenerate=st.booleans(), frozen=st.booleans())
+    def test_formula_matches_the_kronecker_product(self, seed, d1, d2, degenerate, frozen):
+        rng = np.random.default_rng(seed)
+        a_obs = random_observable(rng, d1, n_outcomes=max(1, d1 - 1) if degenerate else None)
+        s = random_scenario(rng, d1, d2, a_obs, x_outcomes=max(1, d2 - 1) if degenerate else None,
+                            t=0.0 if frozen else None, tau=0.0 if frozen else None)
+        joint, ref = joint_distribution_formula(s).entries, kronecker_joint(s)
+        assert list(joint) == list(ref)
+        assert max(abs(joint[key] - p) for key, p in ref.items()) <= 1e-14
+
+    def test_formula_and_posteriors_build_no_kronecker_product(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(bayes, "tensor", lambda *factors: built.append(factors)
+                            or tensor(*factors))
+        for seed in range(5):
+            s = random_scenario(np.random.default_rng(seed), 3, 4)
+            joint = joint_distribution_formula(s)
+            posteriors(s, joint)
+            posterior_state(s, s.a_obs.eigenvalues[0])
+        assert built == []
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d1=st.integers(1, 4), d2=st.integers(1, 4))
+    def test_each_posterior_is_its_one_state_conditioning(self, seed, d1, d2):
+        s = random_scenario(np.random.default_rng(seed), d1, d2)
+        for a, _, post in posteriors(s, joint_distribution_formula(s)):
+            assert np.array_equal(post.matrix, posterior_state(s, a).matrix)
+
+
 class TestPriorState:
     def test_bell_maximally_mixed(self):
         s = EntangledScenario(bell_state(), Observable(PAULI_Z), Observable(PAULI_Z))

@@ -6,14 +6,17 @@ library name the check reads (checks look names up when they run), or on
 the model the check is run on.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from reductionlab import bayes, checks, measurement
-from reductionlab.bayes import JointDistribution
+from reductionlab.bayes import EntangledScenario, JointDistribution
+from reductionlab.errors import ValidationError
 from reductionlab.linalg import TOL_OP, identity
-from reductionlab.quantum import DensityOperator, Observable
-from reductionlab.zoo import PAULI_X, cnot_qubit_model, standard_models
+from reductionlab.quantum import DensityOperator, Observable, density_operators, distributions
+from reductionlab.zoo import PAULI_X, PAULI_Z, cnot_qubit_model, standard_models
 
 CNOT = cnot_qubit_model()
 SWAP = standard_models()["swap_replace"]
@@ -91,3 +94,25 @@ def test_check_fails_on_its_fault(monkeypatch, name):
     # a finite deviation over the tolerance, not a NaN stand-in
     assert np.isfinite(report.max_deviation)
     assert report.max_deviation > report.tolerance
+
+
+def test_posterior_conditionals_judges_and_reads_one_stack(monkeypatch):
+    judged, read = [], []
+    monkeypatch.setattr(checks, "density_operators",
+                        lambda stack: judged.append(len(stack)) or density_operators(stack))
+    monkeypatch.setattr(checks, "distributions", lambda spectrum, stack: read.append(len(stack))
+                        or distributions(spectrum, stack))
+    reports = checks._trial(3, 2, 3)
+    assert named(reports, "posterior_conditionals").passed
+    # both outcomes of the qubit's A are likely: one stack of two, judged once and read once
+    assert judged == read == [2]
+
+
+def test_posterior_conditionals_judges_every_evolved_posterior():
+    s = EntangledScenario(DensityOperator(identity(4) / 4), Observable(PAULI_Z),
+                          Observable(PAULI_X), t=0.5, tau=0.5)
+    evaluated = checks.evaluate_scenario(s)
+    a, p, post = evaluated.posteriors[-1]
+    evaluated.posteriors[-1] = (a, p, SimpleNamespace(matrix=2 * post.matrix))
+    with pytest.raises(ValidationError, match="trace is 2"):
+        checks._posterior_conditionals(s, evaluated)

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -24,6 +25,7 @@ from reductionlab.modelio import (
     matrix_to_pairs,
     model_from_dict,
     model_to_dict,
+    pairs_to_matrix,
     save_json,
     scenario_to_dict,
 )
@@ -173,6 +175,61 @@ class TestModelRoundTrip:
         save_json(bell_scenario_path, doc)
         assert main(["entangled", bell_scenario_path]) == 3
         assert f"{field}:" in capsys.readouterr().err
+
+
+def per_entry_matrix(pairs, field):
+    """The per-entry parse: each entry checked for two finite JSON numbers, then complex(re, im)."""
+    flat = np.empty(len(pairs), dtype=complex)
+    for i, p in enumerate(pairs):
+        if not (isinstance(p, list) and len(p) == 2 and all(
+                type(v) in (int, float) and abs(v) <= sys.float_info.max for v in p)):
+            raise ParseError(f"{field}: entry {i} is not a [re, im] pair")
+        flat[i] = complex(p[0], p[1])
+    return flat.reshape(math.isqrt(len(pairs)), -1)
+
+
+JSON_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),  # -0.0 and +-1.8e308 included
+    st.integers(-(2 ** 64), 2 ** 64),
+    st.integers(-int(sys.float_info.max), int(sys.float_info.max)),
+    st.sampled_from([0.0, -0.0, 0, sys.float_info.max, -sys.float_info.max]))
+
+
+class TestPairsToMatrix:
+    """A matrix field is converted in one call and refused, entry by entry, as before."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(dim=st.integers(1, 4), data=st.data())
+    def test_bit_identical_to_the_per_entry_build(self, dim, data):
+        pairs = data.draw(st.lists(st.lists(JSON_NUMBERS, min_size=2, max_size=2),
+                                   min_size=dim * dim, max_size=dim * dim))
+        pairs = json.loads(json.dumps(pairs))
+        got = pairs_to_matrix(pairs, "sigma")
+        assert got.dtype == complex and got.shape == (dim, dim)
+        assert got.tobytes() == per_entry_matrix(pairs, "sigma").tobytes()
+
+    def test_signed_zeros(self):
+        got = pairs_to_matrix(json.loads("[[-0.0, 0.0], [0, -0.0], [-0.0, -0.0], [1, 2]]"), "u")
+        assert np.signbit(got.real).tolist() == [[True, False], [True, False]]
+        assert np.signbit(got.imag).tolist() == [[False, True], [True, False]]
+
+    @pytest.mark.parametrize("entry", [
+        "[true, 0.0]", '["1.0", 0.0]', "[1.0, 2.0, 3.0]", "[1.0]", "[NaN, 0.0]",
+        "[0.0, Infinity]", "[0.0, -Infinity]", f"[{int(sys.float_info.max) + 1}, 0]",
+        f"[0, {-10 ** 400}]", "1.0", "null", '{"re": 1.0, "im": 0.0}', "[[1.0], 0.0]",
+    ])
+    @pytest.mark.parametrize("index", [0, 2])
+    def test_refuses_the_first_bad_entry(self, entry, index):
+        # a later bad entry is not the one named
+        pairs = json.loads("[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]")
+        pairs[index] = json.loads(entry)
+        pairs[3] = [False, 0.0]
+        message = f"sigma: entry {index} is not a [re, im] pair"
+        with pytest.raises(ParseError) as ref:
+            per_entry_matrix(pairs, "sigma")
+        assert str(ref.value) == message
+        with pytest.raises(ParseError, match=re.escape(message) + "$"):
+            pairs_to_matrix(pairs, "sigma")
 
 
 class TestExitCodes:

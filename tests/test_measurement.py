@@ -29,6 +29,7 @@ from reductionlab.quantum import (
     Observable,
     OutcomeDistribution,
     born_distribution,
+    conditional_state,
     distributions,
     operator_deviation,
     outcome_index,
@@ -337,6 +338,13 @@ class TestConditionalState:
         with pytest.raises(ZeroProbabilityError,
                            match=r"^outcome -1\.0 has probability \S+; reduced state undefined$"):
             condition()
+
+    def test_zero_probability_names_its_own_label(self):
+        one, zero = identity(2) / 2, np.zeros((2, 2), dtype=complex)
+        with pytest.raises(ZeroProbabilityError, match=r"^outcome 2\.5 has probability 0\.0;"):
+            conditional_state(np.array([one, zero, zero]), [1.5, 2.5, 3.5])
+        with pytest.raises(ZeroProbabilityError, match=r"^outcome 7\.0 has probability 0\.0;"):
+            conditional_state(np.array([one, zero]), 7.0)
 
     @pytest.mark.xfail(raises=ValidationError, strict=True, reason=ITEM_2)
     @pytest.mark.parametrize("seed", range(3))
@@ -660,6 +668,17 @@ class TestSandwichedOracle:
     def test_refuses_a_state_of_the_wrong_dimension(self):
         with pytest.raises(DimensionMismatchError):
             state_reduction_sandwiched(CNOT, [DensityOperator(identity(3) / 3)], 1.0)
+
+    def test_reads_the_probe_projection_once_per_call(self, monkeypatch):
+        model = random_indirect_model(3, 3, 4)
+        reads = []
+        probe_projection = MeasurementModel.probe_projection
+        monkeypatch.setattr(MeasurementModel, "probe_projection",
+                            lambda self, a: reads.append(a) or probe_projection(self, a))
+        states = _oracle_states(model)
+        for a in model.outcomes():
+            state_reduction_sandwiched(model, states, a)
+        assert reads == model.outcomes()
 
 
 class TestKrausAgainstComposite:
