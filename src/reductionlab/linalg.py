@@ -50,12 +50,18 @@ def dagger(m: np.ndarray) -> np.ndarray:
 def within_rounding(deviation, tol: float, scale=None):
     """Equal up to rounding: deviation <= tol * max(1, max_abs(scale)), absolute at unit scale,
     relative above it.  `scale` is what was compared, None for a unit-scale quantity (a unitary,
-    an effect); it is read at most once, and only when some deviation > tol.  An array of
-    deviations is judged elementwise.  A NaN deviation is never within."""
+    an effect); it is read only when some deviation > tol, and once unless the bound overflows.
+    A finite complex entry whose modulus exceeds the float maximum makes max_abs(scale) inf;
+    the bound is then 2 * tol * max_abs(scale / 2), in that order, so that it stays finite and
+    no deviation passes for an inf bound.  An array of deviations is judged elementwise.  A NaN
+    deviation is never within."""
     ok = deviation <= tol
     if scale is None or (ok.all() if isinstance(ok, np.ndarray) else ok):
         return ok
-    return ok | (deviation <= tol * max_abs(scale))
+    bound = tol * max_abs(scale)
+    if bound == np.inf:
+        bound = 2 * tol * max_abs(np.asarray(scale) / 2)
+    return ok | (deviation <= bound)
 
 
 def is_hermitian(m) -> bool:

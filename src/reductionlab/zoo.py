@@ -62,14 +62,9 @@ def swap_replace_model(sigma_out: DensityOperator, a_obs: Observable) -> Measure
     )
 
 
-def controlled_shift_model(a_obs: Observable,
-                           apparatus_dim: int | None = None) -> MeasurementModel:
-    """Finite pointer model: eigenspace k of A shifts a rest pointer by k steps.
-
-    The pointer observable copies A's sorted spectrum; surplus pointer
-    levels (if apparatus_dim exceeds the outcome count) join the lowest
-    outcome's eigenspace and are never populated.
-    """
+def _controlled_shift(a_obs: Observable, apparatus_dim: int | None) -> tuple:
+    """(sigma, U, B) of the controlled-shift model as matrices, not yet judged: the one
+    builder of `controlled_shift_model` and `random_indirect_model`."""
     spectrum = a_obs.spectrum
     n = len(spectrum)
     na = n if apparatus_dim is None else int(apparatus_dim)
@@ -83,8 +78,21 @@ def controlled_shift_model(a_obs: Observable,
         u += tensor(proj, np.linalg.matrix_power(shift, k))
     values = [a for a, _ in spectrum]
     b = np.diag(values + values[:1] * (na - n)).astype(complex)
+    rest = identity(na)[:, 0]
+    return np.outer(rest, rest.conj()), u, b
+
+
+def controlled_shift_model(a_obs: Observable,
+                           apparatus_dim: int | None = None) -> MeasurementModel:
+    """Finite pointer model: eigenspace k of A shifts a rest pointer by k steps.
+
+    The pointer observable copies A's sorted spectrum; surplus pointer
+    levels (if apparatus_dim exceeds the outcome count) join the lowest
+    outcome's eigenspace and are never populated.
+    """
+    sigma, u, b = _controlled_shift(a_obs, apparatus_dim)
     return MeasurementModel(
-        sigma=pure(np.eye(na, dtype=complex)[:, 0]),
+        sigma=DensityOperator(sigma),
         u=u,
         probe=Observable(b),
         measured=a_obs,
@@ -119,24 +127,26 @@ def random_indirect_model(seed: int, object_dim: int, apparatus_dim: int,
                           a_obs: Observable | None = None) -> MeasurementModel:
     """Seeded random model that provably measures its observable.
 
-    Starts from the controlled-shift model and conjugates the apparatus
+    Starts from the controlled-shift matrices and conjugates the apparatus
     side by a Haar-random unitary W: u -> (1 (x) W) u (1 (x) W^dag),
     sigma -> W sigma W^dag, B -> W B W^dag.  The effects (and reductions)
     are invariant under this substitution, so the measuring condition
-    still holds and the model stays Lueders-projective.
+    still holds and the model stays Lueders-projective.  Only the
+    conjugated model is built and validated; the controlled-shift
+    matrices are never judged as a model of their own.
     """
     rng = np.random.default_rng(seed)
     if a_obs is None:
         a_obs = random_observable(rng, object_dim)
     elif a_obs.dim != object_dim:
         raise DimensionMismatchError(f"a_obs dim {a_obs.dim} != object dim {object_dim}")
-    base = controlled_shift_model(a_obs, apparatus_dim)  # refuses too few apparatus levels
+    sigma, u, b = _controlled_shift(a_obs, apparatus_dim)  # refuses too few apparatus levels
     w = haar_unitary(rng, apparatus_dim)
     one_w = tensor(identity(object_dim), w)
     return MeasurementModel(
-        sigma=DensityOperator(w @ base.sigma.matrix @ dagger(w)),
-        u=one_w @ base.u @ dagger(one_w),
-        probe=Observable(w @ base.probe.matrix @ dagger(w)),
+        sigma=DensityOperator(w @ sigma @ dagger(w)),
+        u=one_w @ u @ dagger(one_w),
+        probe=Observable(w @ b @ dagger(w)),
         measured=a_obs,
     )
 

@@ -457,6 +457,16 @@ class TestFloatLimit:
         assert "h1 + h2: hamiltonian has a non-finite eigenvalue" in err if rc else err == ""
 
 
+    def test_overflowing_modulus_is_not_hermitian(self, cnot_path, capsys):
+        # A = B = diag(1.5e308 + 1.5e308i, 0): the entry's modulus overflows, and with it
+        # the scale of the hermiticity bound; the matrix is refused, not accepted
+        doc = load_json(cnot_path)
+        doc["a_matrix"] = doc["b_matrix"] = [[1.5e308, 1.5e308]] + [[0.0, 0.0]] * 3
+        save_json(cnot_path, doc)
+        rc, out, err = run_warnings_as_errors(["verify", cnot_path, "--json"], capsys)
+        assert (rc, out) == (4, "")
+        assert err == "validation error: b_matrix: observable must be Hermitian\n"
+
 class TestReduce:
     def test_cnot_plus(self, cnot_path, capsys):
         assert main(["reduce", cnot_path, "--state", "+", "--outcome", "1"]) == 0

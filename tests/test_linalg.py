@@ -280,6 +280,42 @@ SPECTRAL_STEP_CALLERS = {
 }
 
 
+# a finite entry whose modulus, sqrt(2) * 1.5e308, exceeds the float maximum
+MODULUS_OVERFLOW = np.array([[1.5e308 + 1.5e308j, 0.0], [0.0, 0.0]])
+
+
+class TestModulusOverflow:
+    """A scale whose max_abs overflows to inf bounds no deviation by inf: the bound is taken
+    at the halved scale, so a non-Hermitian matrix is refused by every judge."""
+
+    @pytest.fixture(autouse=True)
+    def warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    def test_is_not_hermitian(self):
+        assert not is_hermitian(MODULUS_OVERFLOW)
+
+    def test_hermitian_with_an_overflowing_modulus_stays_hermitian(self):
+        z = 1.5e308 + 1.5e308j
+        assert is_hermitian(np.array([[0.0, z], [np.conj(z), 0.0]]))
+
+    def test_bound_is_finite(self):
+        assert not within_rounding(1e300, TOL_OP, MODULUS_OVERFLOW)
+        # 2 * TOL_OP * max_abs(m / 2) is about 2.1e299
+        assert within_rounding(1e299, TOL_OP, MODULUS_OVERFLOW)
+
+    @pytest.mark.parametrize("build, message", [
+        (Observable, "observable must be Hermitian"),
+        (_scenario("h1"), "h1: hamiltonian must be Hermitian"),
+        (DensityOperator, "density operator must be Hermitian"),
+    ], ids=["observable", "h1", "density-operator"])
+    def test_is_refused(self, build, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            build(MODULUS_OVERFLOW)
+
+
 class TestSpectralStep:
     """Every Hermitian input goes through `hermitian_eigh`: judged once, diagonalized once,
     and refused with the input's name when it is not Hermitian or its spectrum overflows."""

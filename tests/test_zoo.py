@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from reductionlab import checks
+from reductionlab import checks, zoo
 from reductionlab.cli import main
 from reductionlab.errors import DimensionMismatchError
-from reductionlab.linalg import TOL_OP, TOL_PROB, max_abs
+from reductionlab.linalg import TOL_OP, TOL_PROB, dagger, identity, max_abs, tensor
 from reductionlab.measurement import (
+    MeasurementModel,
     mixture_identity_check,
     nonselective_state,
     outcome_probability,
@@ -29,7 +30,9 @@ from reductionlab.zoo import (
     PAULI_Z,
     cnot_qubit_model,
     controlled_shift_model,
+    haar_unitary,
     random_indirect_model,
+    random_observable,
     standard_models,
     swap_replace_model,
 )
@@ -138,6 +141,32 @@ class TestRandomIndirect:
         with pytest.raises(DimensionMismatchError):
             random_indirect_model(0, 3, 2, a_obs=obs)
 
+
+    @pytest.mark.parametrize("seed, object_dim, apparatus_dim", [
+        (0, 2, 2), (7, 3, 4), (42, 3, 4), (5, 6, 7), (99, 4, 4),
+    ])
+    def test_builds_and_validates_one_model(self, monkeypatch, seed, object_dim,
+                                            apparatus_dim):
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(MeasurementModel(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(zoo, "MeasurementModel", counted)
+        model = random_indirect_model(seed, object_dim, apparatus_dim)
+        assert built == [model]
+        monkeypatch.undo()
+        # the conjugated controlled-shift model, drawn from the generator in the same order
+        rng = np.random.default_rng(seed)
+        a_obs = random_observable(rng, object_dim)
+        base = controlled_shift_model(a_obs, apparatus_dim)
+        w = haar_unitary(rng, apparatus_dim)
+        one_w = tensor(identity(object_dim), w)
+        assert np.array_equal(model.u, one_w @ base.u @ dagger(one_w))
+        assert np.array_equal(model.sigma.matrix, w @ base.sigma.matrix @ dagger(w))
+        assert np.array_equal(model.probe.matrix, w @ base.probe.matrix @ dagger(w))
+        assert np.array_equal(model.measured.matrix, a_obs.matrix)
 
 # the classification `verify` gives each standard model
 CLASSIFICATION = {

@@ -8,9 +8,10 @@
 # against this tree (OUTDIR/head), prints `diff -r OUTDIR/base OUTDIR/head`,
 # then one line per differing file: whether it is identical once every
 # number is masked, and the largest absolute change between the numbers
-# paired by position.  Exits with diff's status: 0 when both give the same
-# answers, 1 when they differ.  The temporary directory is removed however
-# the script ends.
+# paired by position.  A side whose verdict fails (BASE runs this tree's rows,
+# so a row this tree adds may fail there) is named, and the diff is printed
+# anyway.  Exits with diff's status: 0 when both give the same answers, 1 when
+# they differ.  The temporary directory is removed however the script ends.
 set -eu
 
 base=${1:?usage: tools/contract_diff.sh BASE OUTDIR}
@@ -24,8 +25,8 @@ mkdir -p "$tree/tools"
 git -C "$root" archive "$base" | tar -x -C "$tree"
 cp "$root/tools/output_contract.sh" "$tree/tools/output_contract.sh"
 rm -rf "$out/base" "$out/head"
-sh "$tree/tools/output_contract.sh" "$out/base"
-sh "$root/tools/output_contract.sh" "$out/head"
+sh "$tree/tools/output_contract.sh" "$out/base" || echo "base: the contract's verdict failed" >&2
+sh "$root/tools/output_contract.sh" "$out/head" || echo "head: the contract's verdict failed" >&2
 status=0
 diff -r "$out/base" "$out/head" || status=$?
 python3 - "$out/base" "$out/head" <<'EOF' || true
