@@ -15,11 +15,11 @@ Bayes: `prior_state` is the distant subsystem's state rho2(t),
 one stack normalized after evolving by `quantum.conditional_state`, and
 `posterior_state` is that conditioning on a stack of one.  They and the
 formula evolve the pair only through `EntangledScenario.evolution`, which
-judges h1 and h2 by `linalg.hermitian_eigh`; it and the oracle form
-e^{-i h t} by `linalg.spectral_expm`.
+judges h1 and h2 by `linalg.hermitian_eigh`; the oracle takes that spectral
+step of h1 and h2 itself, and both form e^{-i h t} by `linalg.spectral_expm`.
 
 The formula and the posteriors cost pair-space work: no Kronecker product
-is formed outside the oracle's pair Hamiltonian h12.  The formula reads
+is formed outside the oracle's pair evolution.  The formula reads
 P(a, x) = Tr[E^X_{t+tau}(x) S_a] with S_a = Tr_1[(E^A_t(a) (x) 1) rho12],
 one contraction of rho12 as (d1, d2, d1, d2).  The posteriors apply
 E^A_t(a) (x) 1 as one flat product on rho12 as (d1, d2 d1 d2) and take one
@@ -42,10 +42,7 @@ from .linalg import (
     as_matrix,
     check_phase,
     dagger,
-    finite_eigh,
     hermitian_eigh,
-    identity,
-    max_abs,
     partial_trace,
     spectral_expm,
     tensor,
@@ -138,7 +135,7 @@ def joint_distribution_oracle(s: EntangledScenario, model: MeasurementModel) -> 
     `model` is the local apparatus for the first subsystem, refused (ValidationError) unless
     it measures the scenario's A (at TOL_OP and the scale of the scenario's A,
     `within_rounding`) with as many outcomes and meets the measuring condition at TOL_OP,
-    or when the pair phase or spectrum overflows.  A's labels are the scenario's, the i-th
+    or when h1's phase over tau overflows.  A's labels are the scenario's, the i-th
     read on the i-th eigenspace of B.  Its interaction acts on H1 (x) HA only, so its
     extension to the full space commutes with every observable of subsystem 2.
 
@@ -148,14 +145,14 @@ def joint_distribution_oracle(s: EntangledScenario, model: MeasurementModel) -> 
     E^X(x) on subsystem 2 jointly.  No projection postulate anywhere.
 
     The simulation stays literal; only its contractions are cheap.  The
-    apparatus Hamiltonian is zero, so the free evolution is
-    e^{-i h12 time} (x) 1_A with the pair Hamiltonian
-    h12 = h1 (x) 1 + 1 (x) h2, which is diagonalized once and never
-    factored into local evolutions; both free evolutions are built from
-    that one eigendecomposition.  Preparing the apparatus is the
-    dilation sigma = sum_l p_l p_l^dag over the model's pointer columns
-    p_l = sqrt(s_l) |phi_l>, so the whole process from S1 (x) S2 at time t
-    to S1 (x) A (x) S2 is the family of maps
+    pair is noninteracting and the apparatus Hamiltonian is zero, so the
+    free evolution is u12(time) (x) 1_A with
+    u12(time) = e^{-i h1 time} (x) e^{-i h2 time}, each factor from the
+    oracle's own `hermitian_eigh` of h1 or h2, never the scenario's
+    spectra, so that it shares no step with the formula.  Preparing the
+    apparatus is the dilation sigma = sum_l p_l p_l^dag over the model's
+    pointer columns p_l = sqrt(s_l) |phi_l>, so the whole process from
+    S1 (x) S2 at time t to S1 (x) A (x) S2 is the family of maps
     V_l = (u12(tau) (x) 1_A) (U (x) 1_S2) (1_S1 (x) |p_l> (x) 1_S2),
     each a (d1 dA d2) x (d1 d2) matrix built by reshaped products.  The
     (S2, A) block Tr_S1 sum_l V_l rho12(t) V_l^dag is one pair of flat
@@ -171,21 +168,19 @@ def joint_distribution_oracle(s: EntangledScenario, model: MeasurementModel) -> 
     dev = verify_measures(model)
     if not within_rounding(dev, TOL_OP):  # also refuses a NaN deviation
         raise ValidationError(f"apparatus model fails the measuring condition (deviation {dev})")
-    # max|w(h1)| + max|w(h2)| bounds h12's entries and spectrum: judged before h12 is formed
-    check_phase("h1 + h2", sum(max_abs(w) for w, _ in s._spectra), "max(t, tau)", max(s.t, s.tau))
+    spectra = [hermitian_eigh(h, f"{k}: hamiltonian") for k, h in (("h1", s.h1), ("h2", s.h2))]
+    # the one phase the scenario does not bound: it bounds h1 over t and h2 over t + tau
+    check_phase("h1", spectra[0][0], "tau", s.tau)
     d1, d2 = s.dims
     da = model.apparatus_dim
     n12, n2a = d1 * d2, d2 * da
-    h12 = tensor(s.h1, identity(d2)) + tensor(identity(d1), s.h2)
-    # Hermitian by construction: not judged (at its own scale, cancelling diagonals fail it)
-    w, v = finite_eigh(h12, "h1 + h2: hamiltonian")
-    u = spectral_expm(w, v, s.t)
+    u = tensor(*(spectral_expm(w, v, s.t) for w, v in spectra))
     rho = u @ s.rho12.matrix @ dagger(u)
     # U (1 (x) |p_l>): k[i, b, j, l] = sum_b' U[(i, b), (j, b')] p_l[b']
     k = (model.u.reshape(-1, da) @ model.pointer).reshape(d1, da, d1, -1)
     # V_l[(i, b, y), (j, y')] = sum_i' u12(tau)[(i, y), (i', y')] k[i', b, j, l],
     # laid out as vl[(y, b), (i, l), (j, y')]: Tr_S1 and the sum over l are one sum over (i, l)
-    u = spectral_expm(w, v, s.tau).reshape(d1, d2, d1, d2)
+    u = tensor(*(spectral_expm(w, v, s.tau) for w, v in spectra)).reshape(d1, d2, d1, d2)
     vl = np.tensordot(u, k, axes=([2], [0]))  # [i, y, y', b, j, l]
     vl = vl.transpose(1, 3, 0, 5, 4, 2).reshape(n2a, -1)
     block = (vl.reshape(-1, n12) @ rho).reshape(n2a, -1) @ vl.conj().T

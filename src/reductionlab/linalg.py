@@ -130,17 +130,12 @@ def permute_factors(m, dims, perm) -> np.ndarray:
 
 
 def hermitian_eigh(m, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """(w, v) of m, the one spectral step of a Hermitian input: judged by `is_hermitian` at
-    its own scale, refused with a ValidationError naming `what`, then `finite_eigh`."""
+    """(w, v) of m, the one spectral step of every Hermitian input: judged by `is_hermitian`
+    at its own scale, then `eigh` (looked up per call); a ValidationError names `what` when m
+    is not Hermitian or an eigenvalue overflows."""
     a = as_matrix(m)
     if not is_hermitian(a):
         raise ValidationError(f"{what} must be Hermitian")
-    return finite_eigh(a, what)
-
-
-def finite_eigh(a: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """(w, v) of `eigh` (looked up per call) of a matrix already Hermitian, from the step or by
-    construction; a ValidationError names `what` when an eigenvalue overflows."""
     w, v = np.linalg.eigh(a)
     if not np.isfinite(w).all():  # eigh overflows near the float limit
         raise ValidationError(f"{what} has a non-finite eigenvalue: {w.tolist()}")

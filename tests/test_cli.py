@@ -326,7 +326,7 @@ class TestExitCodes:
         ("h1", {"t": 1e10}, "h1: phase max|eigenvalue| * t"),
         ("h2", {"tau": 1e10}, "h2: phase max|eigenvalue| * t + tau"),
         # only the oracle evolves h1 during tau
-        ("h1", {"tau": 1e10}, "h1 + h2: phase max|eigenvalue| * max(t, tau)"),
+        ("h1", {"tau": 1e10}, "h1: phase max|eigenvalue| * tau"),
     ])
     def test_overflowing_phase(self, bell_scenario_path, capsys, field, times, named):
         # a finite spectrum, diag(1e300, 0), whose phase overflows at the time given
@@ -343,7 +343,7 @@ class TestExitCodes:
         assert "is not finite" in captured.err
 
     def test_pair_phase_without_apparatus(self, bell_scenario_path, capsys):
-        # the h1 + h2 bound belongs to the oracle's pair evolution: no apparatus, no oracle
+        # the bound on h1 over tau belongs to the oracle's evolution: no apparatus, no oracle
         doc = load_json(bell_scenario_path)
         del doc["apparatus"]
         doc.update({"h1": [[1e300, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
@@ -445,8 +445,8 @@ class TestFloatLimit:
         assert "does not target the scenario's observable" in err
 
     def test_overflowing_pair_spectrum(self, bell_scenario_path, capsys):
-        # h1's own eigenvalues are finite, and so is its phase at t = tau = 0; the oracle's
-        # pair Hamiltonian h1 (x) 1 + 1 (x) h2 may still overflow in `eigh`, and is then refused
+        # h1's entries span 1 to the float maximum, and its phase at t = tau = 0 is finite;
+        # its eigenvalues may still overflow in `eigh`, and h1 is then refused
         doc = load_json(bell_scenario_path)
         doc["h1"] = [[-1.0, 0.0], [1e200, -1e200], [1e200, 1e200],
                      [-1.7976931348623157e308, 0.0]]
@@ -454,7 +454,7 @@ class TestFloatLimit:
         rc, out, err = run_warnings_as_errors(["entangled", bell_scenario_path, "--json"],
                                               capsys)
         assert rc in (0, 4)
-        assert "h1 + h2: hamiltonian has a non-finite eigenvalue" in err if rc else err == ""
+        assert "h1: hamiltonian has a non-finite eigenvalue" in err if rc else err == ""
 
 
     def test_overflowing_modulus_is_not_hermitian(self, cnot_path, capsys):

@@ -93,9 +93,11 @@ write("swap_replace_6", model_to_dict(
 # oracle's joint must carry the scenario's labels; bell_eps_scaled: that with
 # the scenario's A and the apparatus's A and B times 1e8, so that the 1e-12 is
 # relative to A's scale.  bare_phase: bell_bare with h1 = diag(1e300, 0) and
-# tau = 1e10, a pair phase that overflows but that no computation forms
-# without an apparatus.  bell_huge_h1: bell with h1's entries all 1e308,
-# finite, whose eigenvalue 2e308 overflows in `eigh`.
+# tau = 1e10, whose phase of h1 over tau overflows but is formed only by the
+# oracle, so by no computation without an apparatus; tau_phase is bell with
+# that h1 and tau, refused.  pair_phase: bell with h1 = h2 = diag(1e308, 0)
+# and t = 1, each phase finite, answered.  bell_huge_h1: bell with h1's
+# entries all 1e308, finite, whose eigenvalue 2e308 overflows in `eigh`.
 half = [0.5, 0.0]
 zero = [0.0, 0.0]
 z = [[1.0, 0.0], zero, zero, [-1.0, 0.0]]
@@ -108,6 +110,10 @@ eps_scaled = {**eps, "a_matrix": scaled(eps["a_matrix"]), "b_matrix": scaled(eps
 for name, extra in (("bell", {"apparatus": apparatus}), ("bell_bare", {}),
                     ("bell_eps", {"apparatus": eps}),
                     ("bare_phase", {"h1": [[1e300, 0.0]] + [zero] * 3, "tau": 1e10}),
+                    ("tau_phase", {"apparatus": apparatus, "h1": [[1e300, 0.0]] + [zero] * 3,
+                                   "tau": 1e10}),
+                    ("pair_phase", {"apparatus": apparatus, "h1": [[1e308, 0.0]] + [zero] * 3,
+                                    "h2": [[1e308, 0.0]] + [zero] * 3, "t": 1.0}),
                     ("bell_eps_scaled", {"a_matrix": scaled(z), "apparatus": eps_scaled}),
                     ("bell_huge_h1", {"apparatus": apparatus, "h1": [[1e308, 0.0]] * 4})):
     write(name, {**bell, **extra})
@@ -186,6 +192,9 @@ row entangled-bare-text                    0 "" entangled "$inp/bell_bare.json"
 row entangled-eps-json                     0 "" entangled "$inp/bell_eps.json" --json
 row entangled-eps-scaled-json              0 "" entangled "$inp/bell_eps_scaled.json" --json
 row entangled-bare-phase-json              0 "" entangled "$inp/bare_phase.json" --json
+row entangled-pair-phase                   0 "" entangled "$inp/pair_phase.json" --json
+row entangled-tau-phase                    4 "h1: phase max|eigenvalue| * tau" \
+    entangled "$inp/tau_phase.json" --json
 row entangled-free-json                    0 "" entangled "$inp/free.json" --json
 row entangled-swap-json                    0 "" entangled "$inp/swap_free.json" --json
 row entangled-zero-json                    0 "" entangled "$inp/zero_outcome.json" --json
