@@ -13,10 +13,11 @@ apparatus dilation by which it never forms the state on that space.
 Bayes: `prior_state` is the distant subsystem's state rho2(t),
 `posteriors` conditions it on each outcome of A with nonzero marginal, as
 one stack normalized after evolving by `quantum.conditional_state`, and
-`posterior_state` is that conditioning on a stack of one.  They and the
-formula evolve the pair only through `EntangledScenario.evolution`, which
-judges h1 and h2 by `linalg.hermitian_eigh`; the oracle takes that spectral
-step of h1 and h2 itself, and both form e^{-i h t} by `linalg.spectral_expm`.
+`posterior_state` is that conditioning on a stack of one.  They, the formula
+and the `posterior_conditionals` check conjugate only by
+`EntangledScenario.evolved` (X at t + tau: over tau, then over t), after one
+`linalg.hermitian_eigh` of h1 and h2; the oracle takes that spectral step
+itself, and both form e^{-i h t} by `linalg.spectral_expm`.
 
 The formula and the posteriors cost pair-space work: no Kronecker product
 is formed outside the oracle's pair evolution.  The formula reads
@@ -64,7 +65,7 @@ class EntangledScenario:
     """State rho12 on H1 (x) H2; A measured locally on subsystem 1 at time t,
     X measured on subsystem 2 at time t + tau; free Hamiltonians h1, h2.
     The factors H1 and H2 are those of the observables A and X.  The scenario
-    owns its free evolution: h1 and h2 are diagonalized once, for `evolution`."""
+    owns its free evolution: h1 and h2 are diagonalized once, for `evolved`."""
 
     def __init__(self, rho12: DensityOperator, a_obs: Observable, x_obs: Observable,
                  h1=None, h2=None, t: float = 0.0, tau: float = 0.0):
@@ -80,9 +81,10 @@ class EntangledScenario:
                          for field, h in (("h1", h1), ("h2", h2))]
         if not (0.0 <= t < math.inf and 0.0 <= tau < math.inf):  # also rejects NaN
             raise ValidationError("times must be finite and nonnegative")
-        # every phase w * time that `evolution` forms: h1 up to t, h2 up to t + tau
+        # every phase w * time that `evolved` forms: h1 over t, h2 over t and over tau
         check_phase("h1", self._spectra[0][0], "t", t)
-        check_phase("h2", self._spectra[1][0], "t + tau", t + tau)
+        check_phase("h2", self._spectra[1][0], "t", t)
+        check_phase("h2", self._spectra[1][0], "tau", tau)
         self.rho12 = rho12
         self.a_obs = a_obs
         self.x_obs = x_obs
@@ -95,9 +97,11 @@ class EntangledScenario:
     def dims(self) -> tuple[int, int]:
         return self.a_obs.dim, self.x_obs.dim
 
-    def evolution(self, k: int, time: float) -> np.ndarray:
-        """e^{-i h_k time} on subsystem k (0 or 1), as `herm_expm` builds it."""
-        return spectral_expm(*self._spectra[k], time)
+    def evolved(self, k: int, time: float, ops) -> np.ndarray:
+        """u ops u^dag with u = e^{-i h_k time} on subsystem k (0 or 1), as `herm_expm` builds
+        it, for one matrix or a stack; a negative time gives the Heisenberg picture."""
+        u = spectral_expm(*self._spectra[k], time)
+        return u @ ops @ dagger(u)
 
 
 class JointDistribution(Distribution):
@@ -118,10 +122,9 @@ def joint_distribution_formula(s: EntangledScenario) -> JointDistribution:
     """Pr{A(t)=a, X(t+tau)=x} = Tr[E^X_{t+tau}(x) S_a] from Heisenberg-evolved projections,
     with S_a = Tr_1[(E^A_t(a) (x) 1) rho12] one contraction of rho12 as (d1, d2, d1, d2)."""
     d1, d2 = s.dims
-    # Heisenberg frame: P(time) = e^{+i h time} P e^{-i h time}
-    u1, u2 = s.evolution(0, -s.t), s.evolution(1, -(s.t + s.tau))
-    ea_t = u1 @ np.array([ea for _, ea in s.a_obs.spectrum]) @ dagger(u1)
-    ex_t = u2 @ np.array([ex for _, ex in s.x_obs.spectrum]) @ dagger(u2)
+    # Heisenberg frame: P(time) = e^{+i h time} P e^{-i h time}; X's over tau, then over t
+    ea_t = s.evolved(0, -s.t, np.array([ea for _, ea in s.a_obs.spectrum]))
+    ex_t = s.evolved(1, -s.t, s.evolved(1, -s.tau, np.array([ex for _, ex in s.x_obs.spectrum])))
     # S_a[y, z] = sum_{i, j} E^A_t(a)[j, i] rho12[(i, y), (j, z)]
     selected = np.einsum("aji,iyjz->ayz", ea_t, s.rho12.matrix.reshape(d1, d2, d1, d2))
     probs = np.einsum("xzy,ayz->ax", ex_t, selected).real.tolist()
@@ -169,7 +172,7 @@ def joint_distribution_oracle(s: EntangledScenario, model: MeasurementModel) -> 
     if not within_rounding(dev, TOL_OP):  # also refuses a NaN deviation
         raise ValidationError(f"apparatus model fails the measuring condition (deviation {dev})")
     spectra = [hermitian_eigh(h, f"{k}: hamiltonian") for k, h in (("h1", s.h1), ("h2", s.h2))]
-    # the one phase the scenario does not bound: it bounds h1 over t and h2 over t + tau
+    # the one phase the scenario does not bound: it bounds h1 over t, h2 over t and over tau
     check_phase("h1", spectra[0][0], "tau", s.tau)
     d1, d2 = s.dims
     da = model.apparatus_dim
@@ -196,9 +199,7 @@ def joint_distribution_oracle(s: EntangledScenario, model: MeasurementModel) -> 
 
 def prior_state(s: EntangledScenario) -> DensityOperator:
     """rho2(t) = e^{-i h2 t} Tr_1[rho12] e^{+i h2 t}."""
-    rho2 = partial_trace(s.rho12.matrix, s.dims, [1])
-    u = s.evolution(1, s.t)
-    return DensityOperator(u @ rho2 @ dagger(u))
+    return DensityOperator(s.evolved(1, s.t, partial_trace(s.rho12.matrix, s.dims, [1])))
 
 
 def posterior_state(s: EntangledScenario, a: float) -> DensityOperator:
@@ -210,7 +211,7 @@ def posterior_state(s: EntangledScenario, a: float) -> DensityOperator:
 def posteriors(s: EntangledScenario, joint: JointDistribution) -> list:
     """[(a, P(a), rho2(t | a))] for every outcome whose marginal P(a) in `joint`, the
     scenario's closed-form joint distribution, exceeds TOL_PROB, in outcome order."""
-    likely = _likely(joint)
+    likely = [(a, p) for a, p in joint.marginal_a().entries.items() if p > TOL_PROB]
     return [(a, p, post) for (a, p), post in zip(likely, _conditioned(s, [a for a, _ in likely]))]
 
 
@@ -219,17 +220,11 @@ def _conditioned(s: EntangledScenario, labels: list) -> list[DensityOperator]:
     product and one partial trace each, evolved to t as one stack and normalized together by
     `conditional_state`.  Its own contraction: it never reads the formula's S_a."""
     d1, d2 = s.dims
-    u1, u = s.evolution(0, -s.t), s.evolution(1, s.t)
-    ea_t = u1 @ np.array([s.a_obs.projection(a) for a in labels]) @ dagger(u1)
+    ea_t = s.evolved(0, -s.t, np.array([s.a_obs.projection(a) for a in labels]))
     # (E^A_t(a) (x) 1) rho12 as ea_t @ rho12[i, (y, j, z)]
     applied = (ea_t @ s.rho12.matrix.reshape(d1, -1)).reshape(-1, d1 * d2, d1 * d2)
     selected = np.array([partial_trace(m, s.dims, [1]) for m in applied])
-    return conditional_state(u @ selected @ dagger(u), labels)
-
-
-def _likely(j: JointDistribution) -> list:
-    """[(a, P(a))] for every outcome of A whose marginal in `j` exceeds TOL_PROB, in order."""
-    return [(a, p) for a, p in j.marginal_a().entries.items() if p > TOL_PROB]
+    return conditional_state(s.evolved(1, s.t, selected), labels)
 
 
 def bayes_condition(j: JointDistribution, a: float) -> OutcomeDistribution:
@@ -245,9 +240,10 @@ def bayes_condition(j: JointDistribution, a: float) -> OutcomeDistribution:
 
 
 def independent(j: JointDistribution) -> bool:
-    """P(x | a) = P(x) within TOL_PROB for each a with P(a) > TOL_PROB, as `posteriors` keeps."""
-    marg_x = j.marginal_x()
-    return not any(bayes_condition(j, a).max_deviation(marg_x) > TOL_PROB for a, _ in _likely(j))
+    """P(a, x) = P(a) P(x) within TOL_PROB for every outcome pair, judged on the joint itself:
+    no conditional is formed, so no rounding divided by a small P(a) decides it."""
+    marg_a, marg_x = j.marginal_a().entries, j.marginal_x().entries
+    return all(abs(p - marg_a[a] * marg_x[x]) <= TOL_PROB for (a, x), p in j.entries.items())
 
 
 def bayes_mixture_check(prior: DensityOperator, conditioned) -> float:

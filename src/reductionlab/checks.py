@@ -105,8 +105,8 @@ def evaluate_scenario(scenario, model=None) -> SimpleNamespace:
 def _posterior_conditionals(scenario, evaluated) -> float:
     """Bayes conditionals P(x | a) against rule 1: X's statistics on the posteriors at t + tau,
     evolved as one stack, judged once and read by one `distributions` call."""
-    u = scenario.evolution(1, scenario.tau)
-    evolved = u @ np.array([post.matrix for _, _, post in evaluated.posteriors]) @ dagger(u)
+    evolved = scenario.evolved(1, scenario.tau,
+                               np.array([post.matrix for _, _, post in evaluated.posteriors]))
     density_operators(evolved)
     return max_abs([bayes_condition(evaluated.formula, a).max_deviation(stats) for (a, _, _), stats
                     in zip(evaluated.posteriors, distributions(scenario.x_obs.spectrum, evolved))])

@@ -48,6 +48,7 @@ from reductionlab.zoo import (
     cnot_qubit_model,
     controlled_shift_model,
     random_indirect_model,
+    haar_unitary,
     random_observable,
     swap_replace_model,
 )
@@ -77,6 +78,16 @@ def random_scenario(rng, d1, d2, a_obs=None, x_outcomes=None, t=None, tau=None):
     )
 
 
+def rare_product_scenario(rng, w):
+    """rho1 (x) rho2 with rho1 pure on sqrt(w) b0 + sqrt(1 - w) b1, b_k the eigenvectors of
+    A = V diag(0, 1, 2) V^dag (V Haar), and a random rho2 and X on four levels: P(a = 0) = w."""
+    v = haar_unitary(rng, 3)
+    psi = np.sqrt(w) * v[:, 0] + np.sqrt(1 - w) * v[:, 1]
+    rho2, x_obs = random_density(rng, 4), random_observable(rng, 4)
+    return EntangledScenario(DensityOperator(tensor(np.outer(psi, psi.conj()), rho2.matrix)),
+                             Observable(v @ np.diag([0.0, 1.0, 2.0]) @ dagger(v)), x_obs)
+
+
 class TestScenario:
     @pytest.mark.parametrize("t, tau", [(np.nan, 0.0), (0.0, np.nan), (np.inf, 0.0),
                                         (0.0, np.inf), (-1.0, 0.0)])
@@ -93,10 +104,15 @@ class TestScenario:
 
     @pytest.mark.parametrize("seed, d1, d2", [(1, 2, 2), (2, 2, 3), (3, 3, 2), (4, 4, 3)])
     def test_evolution_is_herm_expm_bit_for_bit(self, seed, d1, d2):
-        s = random_scenario(np.random.default_rng(seed), d1, d2)
-        for k, h in enumerate((s.h1, s.h2)):
-            for time in (0.0, s.t, -s.t, s.t + s.tau, -s.t - s.tau):
-                assert np.array_equal(s.evolution(k, time), herm_expm(h, time))
+        # `evolved` conjugates one matrix or a stack by the unitary `herm_expm` builds
+        rng = np.random.default_rng(seed)
+        s = random_scenario(rng, d1, d2)
+        for k, (h, d) in enumerate(((s.h1, d1), (s.h2, d2))):
+            stack = np.array([random_hermitian(d, rng) for _ in range(3)])
+            for time in (0.0, s.t, -s.t, s.tau, -s.tau):
+                u = herm_expm(h, time)
+                assert np.array_equal(s.evolved(k, time, stack), u @ stack @ dagger(u))
+                assert np.array_equal(s.evolved(k, time, stack[0]), u @ stack[0] @ dagger(u))
 
 
 class TestJointFormula:
@@ -379,8 +395,8 @@ class TestOracleAgainstLiteral:
 
 def kronecker_joint(s):
     """The closed form with a Kronecker product per (a, x): Tr[(E^A_t(a) (x) E^X_{t+tau}(x))
-    rho12], the formula at its most literal."""
-    u1, u2 = s.evolution(0, -s.t), s.evolution(1, -(s.t + s.tau))
+    rho12], the formula at its most literal, with X evolved over the summed time t + tau."""
+    u1, u2 = herm_expm(s.h1, -s.t), herm_expm(s.h2, -(s.t + s.tau))
     return {(a, x): float(np.trace(tensor(u1 @ ea @ dagger(u1), u2 @ ex @ dagger(u2))
                                    @ s.rho12.matrix).real)
             for a, ea in s.a_obs.spectrum for x, ex in s.x_obs.spectrum}
@@ -496,6 +512,14 @@ class TestBayesCondition:
                                               (1.0, 0.0): 0.18, (1.0, 1.0): 0.42}))
         s = EntangledScenario(bell_state(), Observable(PAULI_Z), Observable(PAULI_Z))
         assert not independent(joint_distribution_formula(s))
+
+    @pytest.mark.parametrize("w", [1e-6, 1e-8, 1e-9])
+    def test_product_state_with_a_rare_outcome(self, w):
+        # P(a, x) = P(a) P(x) up to rounding on the joint itself; X's conditional on the outcome
+        # of probability w would carry that rounding divided by w
+        for seed in range(20):
+            assert independent(joint_distribution_formula(
+                rare_product_scenario(np.random.default_rng(seed), w))), seed
 
     def test_perfect_correlation_point_mass(self):
         s = EntangledScenario(bell_state(), Observable(PAULI_Z), Observable(PAULI_Z))

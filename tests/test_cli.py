@@ -40,6 +40,7 @@ from reductionlab.zoo import (
     PAULI_X,
     PAULI_Z,
     cnot_qubit_model,
+    haar_unitary,
     random_indirect_model,
     random_observable,
     standard_models,
@@ -324,7 +325,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("field, times, named", [
         ("h1", {"t": 1e10}, "h1: phase max|eigenvalue| * t"),
-        ("h2", {"tau": 1e10}, "h2: phase max|eigenvalue| * t + tau"),
+        ("h2", {"tau": 1e10}, "h2: phase max|eigenvalue| * tau"),
         # only the oracle evolves h1 during tau
         ("h1", {"tau": 1e10}, "h1: phase max|eigenvalue| * tau"),
     ])
@@ -629,6 +630,21 @@ class TestEntangled:
         rho = DensityOperator(np.diag([0.25] * 4))
         s = EntangledScenario(rho, Observable(PAULI_Z), Observable(PAULI_X))
         path = tmp_path / "product.json"
+        save_json(str(path), scenario_to_dict(s))
+        assert main(["entangled", str(path), "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["independent"]
+
+    def test_product_scenario_with_a_rare_outcome_flagged_independent(self, tmp_path, capsys):
+        # a pure rho1 with weight 1e-8 on A's first eigenvector, times a random rho2: the joint
+        # factorizes up to rounding, which X's conditional on P(a) = 1e-8 would divide by 1e-8
+        rng, w = np.random.default_rng(0), 1e-8
+        v = haar_unitary(rng, 3)
+        psi = np.sqrt(w) * v[:, 0] + np.sqrt(1 - w) * v[:, 1]
+        rho = DensityOperator(tensor(np.outer(psi, psi.conj()), random_density(rng, 4).matrix))
+        s = EntangledScenario(rho, Observable(v @ np.diag([0.0, 1.0, 2.0]) @ v.conj().T),
+                              random_observable(rng, 4))
+        path = tmp_path / "product_rare.json"
         save_json(str(path), scenario_to_dict(s))
         assert main(["entangled", str(path), "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)

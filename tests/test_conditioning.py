@@ -16,8 +16,8 @@ from reductionlab.bayes import EntangledScenario
 from reductionlab.errors import ValidationError
 from reductionlab.linalg import TOL_OP, dagger, max_abs
 from reductionlab.quantum import DensityOperator, Observable, random_density
-from reductionlab.zoo import (PAULI_Z, cnot_qubit_model, haar_unitary, random_indirect_model,
-                              random_observable)
+from reductionlab.zoo import (PAULI_X, PAULI_Z, cnot_qubit_model, haar_unitary,
+                              random_indirect_model, random_observable)
 
 SCALES = [1e7, 1e8, 1e10]
 SEEDS = range(20)
@@ -33,6 +33,10 @@ def _anti_hermitian(rng, d) -> np.ndarray:
     """An anti-Hermitian matrix of max-entry norm 1."""
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return (g - dagger(g)) / max_abs(g - dagger(g))
+
+
+ITEM_2 = ("ROADMAP item 2: P(x | a) on a posterior conditioned on a small P(a) carries "
+          "rounding / P(a), judged at the absolute TOL_PROB")
 
 
 def _scenario_checks_pass(scenario, model):
@@ -127,3 +131,34 @@ def test_phase_above_the_bound_is_refused():
     # h1's phase at t = 2e8 is 2e308, which overflows
     with pytest.raises(ValidationError, match=r"^h1: phase max\|eigenvalue\| \* t "):
         _bell_at_the_phase_limit(2e8)
+
+
+@pytest.mark.parametrize("h2, time", [
+    (np.zeros((2, 2)), 1e308),  # phases 0; t + tau overflows
+    (1e-300 * PAULI_X, 1e308),  # phases 1e8; t + tau overflows
+    (np.diag([1e300, 0.0]), 1e8),  # phases 1e308 over t and over tau; over t + tau, 2e308
+], ids=["zero", "tiny", "huge"])
+def test_summed_times_are_answered(h2, time):
+    # h2 is evolved over t and over tau, each a finite phase, never over their sum; a numpy
+    # warning would fail the test (warnings are errors in pyproject.toml)
+    phi = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
+    scenario = EntangledScenario(DensityOperator(np.outer(phi, phi)), Observable(PAULI_Z),
+                                 Observable(PAULI_Z), h2=h2, t=time, tau=time)
+    _scenario_checks_pass(scenario, cnot_qubit_model())
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True, reason=ITEM_2)
+def test_posterior_conditionals_of_a_small_weight():
+    # psi = sqrt(w) v0 (x) phi0 + sqrt(1 - w) v1 (x) phi1 with v_k the eigenvectors of A:
+    # P(a = 0) = w, and X's conditional on it deviates by about 5e-18 / w (3.1e-10 here)
+    rng, w = np.random.default_rng(7), 3e-8
+    v, phi = haar_unitary(rng, 3), haar_unitary(rng, 4)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    psi = np.sqrt(w) * np.kron(v[:, 0], phi[:, 0]) + np.sqrt(1 - w) * np.kron(v[:, 1], phi[:, 1])
+    scenario = EntangledScenario(DensityOperator(np.outer(psi, psi.conj())),
+                                 Observable(v @ np.diag([0.0, 1.0, 2.0]) @ dagger(v)),
+                                 random_observable(rng, 4), h2=(g + dagger(g)) / 2,
+                                 t=0.0, tau=0.3)
+    check = next(c for c in checks.SCENARIO_CHECKS if c.name == "posterior_conditionals")
+    report = check.run(TOL_OP, scenario, checks.evaluate_scenario(scenario))
+    assert report.passed, report

@@ -30,8 +30,8 @@ from reductionlab.bayes import EntangledScenario
 from reductionlab.linalg import tensor
 from reductionlab.modelio import model_to_dict, scenario_to_dict
 from reductionlab.quantum import DensityOperator, Observable, pure, random_density
-from reductionlab.zoo import (KET_0, PAULI_Z, cnot_qubit_model, random_indirect_model,
-                              random_observable, swap_replace_model)
+from reductionlab.zoo import (KET_0, PAULI_Z, cnot_qubit_model, haar_unitary,
+                              random_indirect_model, random_observable, swap_replace_model)
 
 inputs = sys.argv[1]
 
@@ -92,12 +92,16 @@ write("swap_replace_6", model_to_dict(
 # bell_eps: the apparatus's copy of A 1e-12 off the scenario's, so that the
 # oracle's joint must carry the scenario's labels; bell_eps_scaled: that with
 # the scenario's A and the apparatus's A and B times 1e8, so that the 1e-12 is
-# relative to A's scale.  bare_phase: bell_bare with h1 = diag(1e300, 0) and
-# tau = 1e10, whose phase of h1 over tau overflows but is formed only by the
-# oracle, so by no computation without an apparatus; tau_phase is bell with
-# that h1 and tau, refused.  pair_phase: bell with h1 = h2 = diag(1e308, 0)
-# and t = 1, each phase finite, answered.  bell_huge_h1: bell with h1's
-# entries all 1e308, finite, whose eigenvalue 2e308 overflows in `eigh`.
+# relative to A's scale.  Phases are bounded over t or over tau, never over
+# t + tau: h1 over t, h2 over t and over tau, and h1 over tau only by the
+# oracle.  bare_phase: bell_bare with h1 = diag(1e300, 0) and tau = 1e10, whose
+# phase of h1 over tau overflows but is formed only by the oracle, so by no
+# computation without an apparatus; tau_phase is bell with that h1 and tau,
+# refused.  pair_phase: bell with h1 = h2 = diag(1e308, 0) and t = 1, each
+# phase finite, answered.  summed_times: bell with h2 = diag(1e300, 0) and
+# t = tau = 1e8, each phase 1e308 and answered, though over t + tau it would
+# overflow.  bell_huge_h1: bell with h1's entries all 1e308, finite, whose
+# eigenvalue 2e308 overflows in `eigh`.
 half = [0.5, 0.0]
 zero = [0.0, 0.0]
 z = [[1.0, 0.0], zero, zero, [-1.0, 0.0]]
@@ -114,6 +118,8 @@ for name, extra in (("bell", {"apparatus": apparatus}), ("bell_bare", {}),
                                    "tau": 1e10}),
                     ("pair_phase", {"apparatus": apparatus, "h1": [[1e308, 0.0]] + [zero] * 3,
                                     "h2": [[1e308, 0.0]] + [zero] * 3, "t": 1.0}),
+                    ("summed_times", {"apparatus": apparatus, "h2": [[1e300, 0.0]] + [zero] * 3,
+                                      "t": 1e8, "tau": 1e8}),
                     ("bell_eps_scaled", {"a_matrix": scaled(z), "apparatus": eps_scaled}),
                     ("bell_huge_h1", {"apparatus": apparatus, "h1": [[1e308, 0.0]] * 4})):
     write(name, {**bell, **extra})
@@ -142,6 +148,17 @@ rho12 = DensityOperator(tensor(pure(KET_0).matrix, random_density(rng, 2).matrix
 x_obs = random_observable(rng, 2)
 s = EntangledScenario(rho12, Observable(PAULI_Z), x_obs, h2=hermitian(rng, 2), t=0.4, tau=0.9)
 write("zero_outcome", scenario_to_dict(s, apparatus=cnot_qubit_model()))
+
+# product_rare: rho1 (x) rho2 with rho1 pure on sqrt(w) b0 + sqrt(1 - w) b1 at
+# w = 1e-8, b_k the eigenvectors of A = V diag(0, 1, 2) V^dag (V Haar), and a
+# random rho2 and X on four levels: independent, judged on the joint itself
+rng, w = np.random.default_rng(0), 1e-8
+v = haar_unitary(rng, 3)
+psi = np.sqrt(w) * v[:, 0] + np.sqrt(1 - w) * v[:, 1]
+rho12 = DensityOperator(tensor(np.outer(psi, psi.conj()), random_density(rng, 4).matrix))
+s = EntangledScenario(rho12, Observable(v @ np.diag([0.0, 1.0, 2.0]) @ v.conj().T),
+                      random_observable(rng, 4))
+write("product_rare", scenario_to_dict(s))
 EOF
 
 failed=0
@@ -193,12 +210,14 @@ row entangled-eps-json                     0 "" entangled "$inp/bell_eps.json" -
 row entangled-eps-scaled-json              0 "" entangled "$inp/bell_eps_scaled.json" --json
 row entangled-bare-phase-json              0 "" entangled "$inp/bare_phase.json" --json
 row entangled-pair-phase                   0 "" entangled "$inp/pair_phase.json" --json
+row entangled-summed-times                 0 "" entangled "$inp/summed_times.json" --json
 row entangled-tau-phase                    4 "h1: phase max|eigenvalue| * tau" \
     entangled "$inp/tau_phase.json" --json
 row entangled-free-json                    0 "" entangled "$inp/free.json" --json
 row entangled-swap-json                    0 "" entangled "$inp/swap_free.json" --json
 row entangled-zero-json                    0 "" entangled "$inp/zero_outcome.json" --json
 row entangled-zero-text                    0 "" entangled "$inp/zero_outcome.json"
+row entangled-product-rare                 0 "" entangled "$inp/product_rare.json" --json
 row entangled-huge-h1                      4 "h1: hamiltonian has a non-finite eigenvalue" \
     entangled "$inp/bell_huge_h1.json" --json
 row reduce-cnot-plus                       0 "" reduce "$zoo/cnot.json" --state + --outcome 1
